@@ -308,7 +308,7 @@ func BenchmarkCheckpointBaseline(b *testing.B) {
 }
 
 // BenchmarkTable1RecvSection runs the fault campaign against the receive
-// path, the "other section of the code" the paper speculates about.
+// path, the "other section of the code" the paper only conjectures about.
 func BenchmarkTable1RecvSection(b *testing.B) {
 	var last fault.CampaignResult
 	for i := 0; i < b.N; i++ {

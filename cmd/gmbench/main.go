@@ -10,8 +10,8 @@
 //	                        killed mid-burst and restored (or reborn after
 //	                        expulsion) under central and gossip planes
 //	gmbench -mode scale     large-cluster scaling: serial vs sharded engine
-//	gmbench -mode scale_mc  multi-core matrix: shards x {conservative,
-//	                        speculative} plus a dispatch-threshold sweep
+//	gmbench -mode scale_mc  multi-core matrix: shard counts plus a
+//	                        dispatch-threshold sweep
 //	gmbench -mode all       everything
 //
 // -mode also accepts a comma-separated list (e.g. -mode bw,lat,netfault).
@@ -35,9 +35,7 @@
 //	gmbench -mode benchdiff old.json new.json
 //
 // which exits nonzero when any section shared by the two -benchjson files
-// regressed by more than 10% in ns/op or allocs/op, or — when the new file
-// carries the scale_mc matrix — when arming speculation costs the serial
-// (-shards 1) path more than 10% over its conservative twin.
+// regressed by more than 10% in allocs/op (ns/op differences only warn).
 package main
 
 import (
@@ -184,20 +182,8 @@ type benchSection struct {
 
 	// Execution-shape metadata, so a section's numbers can be judged in
 	// context (a 1-shard cell and an 8-shard cell are different machines).
-	Shards      int  `json:"shards,omitempty"`
-	Speculative bool `json:"speculative,omitempty"`
-	Threshold   int  `json:"threshold,omitempty"`
-
-	// Speculation telemetry for scale_mc cells: how many spans committed
-	// vs rolled back, and the adaptive-horizon spread (DESIGN.md §16) at
-	// the end of the run. A HorizonMeanNs well below the configured
-	// horizon is the controller visibly throttling speculation — the
-	// context for judging the s1 spec-vs-cons overhead gate.
-	SpecCommits   uint64 `json:"spec_commits,omitempty"`
-	SpecRollbacks uint64 `json:"spec_rollbacks,omitempty"`
-	HorizonLoNs   int64  `json:"horizon_lo_ns,omitempty"`
-	HorizonHiNs   int64  `json:"horizon_hi_ns,omitempty"`
-	HorizonMeanNs int64  `json:"horizon_mean_ns,omitempty"`
+	Shards    int `json:"shards,omitempty"`
+	Threshold int `json:"threshold,omitempty"`
 }
 
 // benchReport is the -benchjson output shape.
@@ -282,9 +268,8 @@ func loadBaseline(path string) (map[string]benchSection, int, error) {
 // ns/op against a baseline from another box — or the same box under
 // different load; matrix cells swing 2-3x between idle and busy runs on a
 // shared host — measures the machines, not the code, and the CPU count is
-// too weak a fingerprint to tell those apart. The hard gates are the
-// machine-independent metrics: allocation counts, and the s1 spec-vs-cons
-// ratio taken from two cells of the same run.
+// too weak a fingerprint to tell those apart. The hard gate is the
+// machine-independent metric: allocation counts.
 func benchdiff(oldPath, newPath string, threshold float64) (int, error) {
 	oldS, oldCPU, err := loadBaseline(oldPath)
 	if err != nil {
@@ -327,19 +312,6 @@ func benchdiff(oldPath, newPath string, threshold float64) (int, error) {
 		} else {
 			// Legacy baseline: only wall clock is comparable.
 			check(name, "wall_ns", float64(o.WallNs), float64(n.WallNs), true)
-		}
-	}
-	// The speculation-overhead gate: when the new run carries the scale_mc
-	// matrix, arming speculation must not cost the serial (-shards 1) path
-	// more than the threshold over its conservative twin — the undo
-	// journals are pay-per-touch and the adaptive horizon throttles
-	// domains whose spans keep losing, so the knob stays nearly free on
-	// one core.
-	// Both sections come from the new run — same machine — so this stays a
-	// hard gate even when the baseline's CPU count differs.
-	if cons, ok := newS["scale_mc_s1_cons"]; ok {
-		if spec, ok := newS["scale_mc_s1_spec"]; ok && cons.NsPerOp > 0 && spec.NsPerOp > 0 {
-			check("s1 spec-vs-cons", "ns/op", cons.NsPerOp, spec.NsPerOp, false)
 		}
 	}
 	return regressions, nil
@@ -713,16 +685,10 @@ func run() error {
 		for _, p := range pts {
 			r := p.Result
 			s := benchSection{
-				WallNs:        r.WallNs,
-				Ops:           r.Delivered,
-				Shards:        r.Shards,
-				Speculative:   r.Speculative,
-				Threshold:     r.Threshold,
-				SpecCommits:   r.SpecCommits,
-				SpecRollbacks: r.SpecRollbacks,
-				HorizonLoNs:   int64(r.HorizonLo),
-				HorizonHiNs:   int64(r.HorizonHi),
-				HorizonMeanNs: int64(r.HorizonMean),
+				WallNs:    r.WallNs,
+				Ops:       r.Delivered,
+				Shards:    r.Shards,
+				Threshold: r.Threshold,
 			}
 			if r.Delivered > 0 {
 				s.NsPerOp = float64(r.WallNs) / float64(r.Delivered)

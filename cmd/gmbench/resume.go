@@ -22,8 +22,9 @@ import (
 
 // artifactVersion guards the artifact layout; a mismatch means the writing
 // and resuming binaries disagree about the trial accounting and the resumed
-// campaign could not be folded faithfully.
-const artifactVersion = 1
+// campaign could not be folded faithfully. Version 2 dropped the run-ahead
+// outcome counters version 1 carried in every chaos.TrialResult.
+const artifactVersion = 2
 
 type campaignArtifact struct {
 	Version int    `json:"version"`

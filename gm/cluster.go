@@ -120,13 +120,6 @@ func NewCluster(cfg Config) *Cluster {
 		if cfg.ParallelThreshold > 0 {
 			c.eng.SetParallelThreshold(cfg.ParallelThreshold)
 		}
-		if cfg.Speculate {
-			h := cfg.SpecHorizon
-			if h <= 0 {
-				h = 8 * cfg.Link.PropDelay
-			}
-			c.eng.SetSpeculation(h)
-		}
 	}
 	return c
 }
@@ -197,11 +190,6 @@ func (c *Cluster) AddNode(name string) *Node {
 	eng := c.eng
 	if c.sharded {
 		eng = c.eng.NewDomain(name)
-		if c.cfg.Speculate {
-			// The whole host + NIC stack journals itself incrementally
-			// (SpecTouch/SpecUndo), so the domain-level checkpoint is empty.
-			eng.EnableSpeculation(specSaveNil, specRestoreNil)
-		}
 	}
 	n := newNode(c, eng, name, len(c.nodes))
 	c.nodes = append(c.nodes, n)
@@ -224,11 +212,6 @@ func (c *Cluster) AddSwitchPorts(name string, ports int) *Switch {
 	eng := c.eng
 	if c.sharded {
 		eng = c.eng.NewDomain(name)
-		if c.cfg.Speculate {
-			// The crossbar, its links and the packet pool journal themselves
-			// (fabric/spec wiring); no eager domain checkpoint is needed.
-			eng.EnableSpeculation(specSaveNil, specRestoreNil)
-		}
 	}
 	swCfg := c.cfg.Switch
 	swCfg.Ports = ports

@@ -199,25 +199,6 @@ type Config struct {
 	// DESIGN.md §12); 0 keeps the classic single-engine cluster.
 	Shards int
 
-	// Speculate arms speculative run-ahead (DESIGN.md §13, §16) on a
-	// sharded cluster: speculation-eligible event domains may execute up to
-	// SpecHorizon past their conservative window bound, with the barrier
-	// committing or rolling the span back. Every cluster domain is
-	// eligible — the node domains (gm library + driver + FTD + LANai + MCP)
-	// and the switch domains journal their state incrementally through the
-	// undo-journal facility (DESIGN.md §16) — and co-simulated domains
-	// (traffic generators, telemetry collectors) join by registering their
-	// own hooks with sim.Engine.EnableSpeculation. Workloads driven on a
-	// speculating node domain must journal their own mutable state the same
-	// way. For a fixed Speculate setting, results stay bit-for-bit
-	// identical across every Shards value AND identical to the conservative
-	// run (the commit/rollback decisions are pure functions of the
-	// deterministic window schedule, never of executor count). Ignored when
-	// Shards == 0.
-	Speculate bool
-	// SpecHorizon is how far past the conservative bound a hook-registered
-	// domain may speculate. <= 0 means 8x the link propagation delay.
-	SpecHorizon sim.Duration
 	// ParallelThreshold is how many domains must have due work in a window
 	// before it is dispatched to the worker pool instead of swept inline
 	// (sim.Engine.SetParallelThreshold). 0 keeps the engine default. A

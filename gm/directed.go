@@ -26,14 +26,11 @@ func (p *Port) RegisterMemory(size uint32) (*Region, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("%w: zero-size region", ErrBadArgument)
 	}
-	p.specTouch()
-	p.node.cpu.SpecTouch(p.node.eng)
 	p.nextRegion++
 	r := &Region{ID: p.nextRegion, Buf: make([]byte, size)}
 	if err := p.node.m.HostRegisterRegion(p.id, r.ID, r.Buf); err != nil {
 		return nil, err
 	}
-	p.node.driver.PageTable().SpecTouch(p.node.eng)
 	if err := p.node.driver.PageTable().PinRange(int(p.id), uint64(r.ID)<<32, uint64(size)); err != nil {
 		return nil, err
 	}
@@ -57,9 +54,7 @@ func (p *Port) DirectedSend(dest NodeID, destPort PortID, regionID, remoteOffset
 	if p.sendTokens <= 0 {
 		return ErrNoSendTokens
 	}
-	p.specTouch()
 	p.markCkpt()
-	p.node.cpu.SpecTouch(p.node.eng)
 	p.sendTokens--
 	p.nextToken++
 	tok := gmproto.SendToken{

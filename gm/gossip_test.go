@@ -197,11 +197,9 @@ func TestGossipPathSuspicionFeedsPlane(t *testing.T) {
 // runGossipShardTrial runs the mapper-death trial on a sharded dual-switch
 // fabric and returns a byte-exact fingerprint (trace + counters + gossip
 // stats + final membership views).
-func runGossipShardTrial(t *testing.T, shards int, speculate bool) string {
+func runGossipShardTrial(t *testing.T, shards int) string {
 	t.Helper()
-	cfg := fastGossipConfig(shards)
-	cfg.Speculate = speculate
-	c := NewCluster(cfg)
+	c := NewCluster(fastGossipConfig(shards))
 	d, err := BuildDualSwitch(c, 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -220,13 +218,9 @@ func runGossipShardTrial(t *testing.T, shards int, speculate bool) string {
 			t.Fatal(err)
 		}
 		ports[i] = p
-		// The workload state journals itself (workCell): with speculate the
-		// node domains run ahead speculatively, and an unjournaled tick
-		// cursor would survive a rollback.
-		cells[i] = &workCell{eng: node.Engine(), peer: (i + 1) % n}
+		cells[i] = &workCell{peer: (i + 1) % n}
 		w := cells[i]
 		p.SetReceiveHandler(func(ev RecvEvent) {
-			w.touch()
 			w.recv++
 			_ = p.RecycleReceiveBuffer(ev.Data, ev.Prio)
 		})
@@ -247,7 +241,6 @@ func runGossipShardTrial(t *testing.T, shards int, speculate bool) string {
 			if eng.Now() >= stopAt || !d.Nodes[i].Running() {
 				return
 			}
-			w.touch()
 			if w.peer == i {
 				w.peer = (w.peer + 1) % n
 			}
@@ -290,17 +283,13 @@ func runGossipShardTrial(t *testing.T, shards int, speculate bool) string {
 // for every worker count, traces included. This is the plane's determinism
 // contract (DESIGN.md §14).
 func TestShardInvarianceGossip(t *testing.T) {
-	serial := runGossipShardTrial(t, 1, false)
+	serial := runGossipShardTrial(t, 1)
 	if len(serial) == 0 {
 		t.Fatal("empty fingerprint")
 	}
 	for _, shards := range []int{4, 8} {
-		diffFingerprints(t, fmt.Sprintf("shards=%d", shards), serial, runGossipShardTrial(t, shards, false))
+		diffFingerprints(t, fmt.Sprintf("shards=%d", shards), serial, runGossipShardTrial(t, shards))
 	}
-	// Speculative run-ahead must not change the plane either: the node
-	// domains (gossip agents included) speculate and roll back, yet the
-	// fingerprint stays byte-identical to the conservative serial run.
-	diffFingerprints(t, "shards=4+speculate", serial, runGossipShardTrial(t, 4, true))
 }
 
 // TestMapperConvergeTimeoutRetries is the regression test for the one-shot

@@ -151,19 +151,17 @@ func (n *Node) Kill() {
 	if n.dead {
 		return
 	}
-	n.specTouch()
 	n.dead = true
 	n.reviveGen++
 	// Host death takes the periodic checkpointer with it: its scheduled
 	// events go inert (generation mismatch) and the chain ends here. The
 	// frozen-port state dies with the MCP's port table below.
-	if n.pc != nil && n.pc.s.active {
-		n.pc.s.active = false
-		n.pc.s.emitting = false
+	if n.pc != nil && n.pc.active {
+		n.pc.active = false
+		n.pc.emitting = false
 	}
 	n.m.InjectHardHang()
 	for id, p := range n.ports {
-		p.specTouch()
 		p.open = false
 		p.recvHandler, p.alarmHandler, p.eventHandler = nil, nil, nil
 		p.callbacks = nil
@@ -172,7 +170,6 @@ func (n *Node) Kill() {
 	}
 	n.ports = make(map[PortID]*Port)
 	n.rxAcks = core.NewRxAckTable()
-	n.rxAcks.Bind(n.eng)
 	n.unreachable = make(map[NodeID]bool)
 	n.pendingRecoveries = 0
 	n.recoveryBusyUntil = 0
@@ -227,7 +224,6 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 	for _, r := range c.Routes {
 		routes[r.Node] = append([]byte(nil), r.Hops...)
 	}
-	n.specTouch()
 	n.driver.SetRoutes(c.NodeID, routes)
 	n.dead = false
 	gen := n.reviveGen
@@ -238,13 +234,10 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 		if n.dead || n.reviveGen != gen {
 			return // another death landed while the MCP was loading
 		}
-		n.specTouch()
-		n.cpu.SpecTouch(n.eng)
 		cfg := n.cluster.cfg.Host
 		n.m.UploadRoutes(n.driver.Routes())
 		n.m.RegisterPageTable(n.driver.PageTable().Len())
 		n.rxAcks = core.NewRxAckTable()
-		n.rxAcks.Bind(n.eng)
 		if !fresh {
 			for _, a := range c.RxAcks {
 				n.rxAcks.Update(a.Stream, a.Seq)
@@ -290,7 +283,6 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 					n.eng.Tracef("node", "%s revive: region %d on port %d: %v", n.name, rc.ID, pc.Port, err)
 					continue
 				}
-				n.driver.PageTable().SpecTouch(n.eng)
 				_ = n.driver.PageTable().PinRange(int(p.id), uint64(r.ID)<<32, uint64(len(r.Buf)))
 				p.regions = append(p.regions, r)
 			}

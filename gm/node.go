@@ -64,10 +64,6 @@ type Node struct {
 	pc        *periodicCkpt
 	ckptEpoch uint64
 
-	// Speculation journaling (gm spec.go).
-	specMark   uint64
-	specShadow nodeShadow
-
 	// Recovered is invoked when every port of the node finished its
 	// FAULT_DETECTED handler after a recovery.
 	Recovered func()
@@ -83,7 +79,6 @@ func newNode(c *Cluster, eng *sim.Engine, name string, index int) *Node {
 		ports:       make(map[PortID]*Port),
 		unreachable: make(map[NodeID]bool),
 	}
-	n.rxAcks.Bind(eng)
 	n.pci = host.NewPCIBus(eng, name+"/pci", c.cfg.PCI)
 	n.chip = lanai.New(eng, name+"/lanai", c.cfg.Lanai, n.pci)
 	n.m = mcp.New(n.chip, c.cfg.MCP, c.cfg.Mode)
@@ -169,7 +164,6 @@ func (n *Node) OpenPort(id PortID) (*Port, error) {
 	if err := n.driver.OpenPort(id, p.mcpSink); err != nil {
 		return nil, err
 	}
-	n.specTouch()
 	n.ports[id] = p
 	return p, nil
 }
@@ -187,7 +181,6 @@ func (n *Node) buildPort(id PortID) *Port {
 		callbacks:  make(map[uint64]SendCallback),
 		open:       true,
 	}
-	p.shadow.Bind(n.eng)
 	eng := n.eng
 	p.tokPend = sim.NewDeferred(eng, "gmtok", func(tok gmproto.RecvToken) {
 		if !p.open {
@@ -236,11 +229,9 @@ func (n *Node) buildPort(id PortID) *Port {
 // ClosePort closes a port.
 func (n *Node) ClosePort(id PortID) {
 	if p, ok := n.ports[id]; ok {
-		n.specTouch()
-		p.specTouch()
 		p.open = false
-		if n.pc != nil && n.pc.s.active {
-			n.pc.s.removedSince[id] = true
+		if n.pc != nil && n.pc.active {
+			n.pc.removedSince[id] = true
 		}
 		n.driver.ClosePort(id)
 		delete(n.ports, id)
@@ -258,7 +249,6 @@ func (n *Node) setPeerUnreachable(peer NodeID) {
 	if peer == 0 || n.unreachable[peer] {
 		return
 	}
-	n.specTouch()
 	n.unreachable[peer] = true
 	n.m.FailPeer(peer)
 }
@@ -271,12 +261,10 @@ func (n *Node) resetPeer(peer NodeID) {
 	if peer == 0 {
 		return
 	}
-	n.specTouch()
 	delete(n.unreachable, peer)
 	n.m.ResetPeerStreams(peer)
 	n.rxAcks.Forget(peer)
 	for _, p := range n.ports {
-		p.specTouch()
 		p.markCkpt()
 		p.shadow.ResetPeerSeqs(peer)
 	}
@@ -357,9 +345,6 @@ func (n *Node) NaiveRestart(done func()) {
 // re-posted in sequence order when the port reopens.
 func (n *Node) dispatchRecovery(p *Port) {
 	cfg := n.cluster.cfg.Host
-	n.specTouch()
-	p.specTouch()
-	n.cpu.SpecTouch(n.eng)
 	n.pendingRecoveries++
 	p.recovering = true
 	nsend, nrecv := p.shadow.Counts()
@@ -374,8 +359,6 @@ func (n *Node) dispatchRecovery(p *Port) {
 	end := start + handlerCost
 	n.recoveryBusyUntil = end
 	n.eng.At(end, func() {
-		n.specTouch()
-		p.specTouch()
 		p.recovering = false
 		// Re-pin the directed-send regions with the reloaded MCP.
 		p.reRegisterRegions()
@@ -398,7 +381,6 @@ func (n *Node) dispatchRecovery(p *Port) {
 		n.pendingRecoveries--
 		if n.pendingRecoveries == 0 {
 			if n.ftd != nil {
-				n.ftd.SpecTouch()
 				n.ftd.Timeline().Mark(core.PhaseProcessesDone, n.eng.Now())
 			}
 			if n.Recovered != nil {

@@ -14,15 +14,15 @@ import (
 // drained endpoint, which a busy node may never offer. This file keeps the
 // anchor continuously fresh instead: a base frame is cut at the first
 // drained instant, then every interval the library freezes only the ports
-// whose checkpointable state changed (cheap epoch-stamped dirty bits, the
-// SpecTouch first-touch pattern), waits — bounded by a drain budget — for
-// their host-side dispatchers to empty, and emits a delta frame carrying
-// just the dirty sections. The freeze reuses the delayed-ACK machinery
-// (mcp.FreezePort): parked deliveries are pre-commit and stay covered by
-// the senders' Go-Back-N windows, so a frame cut under a partial drain is
-// exactly as consistent as a full Checkpoint. Replaying base+deltas through
-// ckpt.ReplayChain reproduces, bit for bit, the Checkpoint a drained node
-// would have produced at the same instant (DESIGN.md §17).
+// whose checkpointable state changed (cheap epoch-stamped dirty bits),
+// waits — bounded by a drain budget — for their host-side dispatchers to
+// empty, and emits a delta frame carrying just the dirty sections. The
+// freeze reuses the delayed-ACK machinery (mcp.FreezePort): parked
+// deliveries are pre-commit and stay covered by the senders' Go-Back-N
+// windows, so a frame cut under a partial drain is exactly as consistent as
+// a full Checkpoint. Replaying base+deltas through ckpt.ReplayChain
+// reproduces, bit for bit, the Checkpoint a drained node would have
+// produced at the same instant (DESIGN.md §16).
 
 // FrameKind distinguishes the two frame types a periodic sink receives.
 type FrameKind uint8
@@ -63,10 +63,18 @@ type PeriodicStats struct {
 	TotalPause sim.Duration
 }
 
-// periodicState is the journaled portion of the checkpointer: everything a
-// speculative rollback must restore. The encode arenas live outside it —
-// re-execution rebuilds them deterministically.
-type periodicState struct {
+// periodicCkpt drives one node's periodic checkpointing. The encode arenas
+// are pooled: after the first few frames a steady-state delta build and
+// encode allocates nothing.
+type periodicCkpt struct {
+	n        *Node
+	interval sim.Duration
+	budget   sim.Duration
+	pollStep sim.Duration
+	sink     PeriodicSink
+
+	// Chain and drain state. Kill clears the activity flags; the stats
+	// survive it.
 	active   bool
 	baseDone bool
 	// emitting marks an interval mid-drain: dirty ports are frozen and a
@@ -88,20 +96,8 @@ type periodicState struct {
 	// removedSince marks ports closed since the last frame.
 	inPrev       [MaxPorts]bool
 	removedSince [MaxPorts]bool
-}
 
-// periodicCkpt drives one node's periodic checkpointing. The arenas below
-// the state block are pooled: after the first few frames a steady-state
-// delta build and encode allocates nothing.
-type periodicCkpt struct {
-	n        *Node
-	interval sim.Duration
-	budget   sim.Duration
-	pollStep sim.Duration
-	sink     PeriodicSink
-	s        periodicState
-
-	// Encode arenas (not journaled; rebuilt deterministically on replay).
+	// Encode arenas.
 	delta   ckpt.Delta
 	basebuf []byte
 	dbuf    [2][]byte // parity double-buffer: delta seq s encodes into dbuf[s&1]
@@ -128,17 +124,16 @@ func (n *Node) StartPeriodicCheckpoint(interval, drainBudget sim.Duration, sink 
 	if interval <= 0 || drainBudget <= 0 || sink == nil {
 		return fmt.Errorf("%w: periodic checkpoint interval %v budget %v", ErrBadArgument, interval, drainBudget)
 	}
-	if n.pc != nil && n.pc.s.active {
+	if n.pc != nil && n.pc.active {
 		return fmt.Errorf("%w: periodic checkpointing already active", ErrBadArgument)
 	}
-	n.specTouch()
 	pc := &periodicCkpt{n: n, interval: interval, budget: drainBudget, sink: sink}
 	pc.pollStep = drainBudget / 8
 	if pc.pollStep <= 0 {
 		pc.pollStep = 1
 	}
-	pc.s.active = true
-	pc.s.gen = n.reviveGen
+	pc.active = true
+	pc.gen = n.reviveGen
 	pc.tickFn = pc.tick
 	pc.pollFn = pc.poll
 	pc.baseFn = pc.baseHunt
@@ -151,12 +146,11 @@ func (n *Node) StartPeriodicCheckpoint(interval, drainBudget sim.Duration, sink 
 // frozen mid-drain. Stats remain readable until the next Start.
 func (n *Node) StopPeriodicCheckpoint() {
 	pc := n.pc
-	if pc == nil || !pc.s.active {
+	if pc == nil || !pc.active {
 		return
 	}
-	n.specTouch()
-	pc.s.active = false
-	pc.s.emitting = false
+	pc.active = false
+	pc.emitting = false
 	if !n.dead {
 		pc.thawAll()
 		n.rxAcks.StopDirtyTracking()
@@ -169,7 +163,7 @@ func (n *Node) PeriodicCheckpointStats() PeriodicStats {
 	if n.pc == nil {
 		return PeriodicStats{}
 	}
-	return n.pc.s.stats
+	return n.pc.stats
 }
 
 // ForceCheckpointFrame synchronously emits a delta frame capturing every
@@ -182,7 +176,7 @@ func (n *Node) PeriodicCheckpointStats() PeriodicStats {
 // frame.
 func (n *Node) ForceCheckpointFrame() ([]byte, bool, error) {
 	pc := n.pc
-	if pc == nil || !pc.s.active || !pc.s.baseDone {
+	if pc == nil || !pc.active || !pc.baseDone {
 		return nil, false, fmt.Errorf("%w: periodic checkpointing not running", ErrBadArgument)
 	}
 	if n.dead {
@@ -191,11 +185,10 @@ func (n *Node) ForceCheckpointFrame() ([]byte, bool, error) {
 	if !n.Drained() {
 		return nil, false, ErrNotDrained
 	}
-	n.specTouch()
-	if pc.s.emitting {
+	if pc.emitting {
 		// Cancel the bounded drain: the scheduled poll goes inert through
 		// the emitting flag, so the tick chain must be re-armed here.
-		pc.s.emitting = false
+		pc.emitting = false
 		pc.thawAll()
 		n.eng.After(pc.interval, pc.tickFn)
 	}
@@ -203,7 +196,7 @@ func (n *Node) ForceCheckpointFrame() ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	pc.emitDelta(0)
-	return pc.dbuf[pc.s.seq&1], true, nil
+	return pc.dbuf[pc.seq&1], true, nil
 }
 
 // live reports whether this checkpointer instance still owns the node: a
@@ -211,7 +204,7 @@ func (n *Node) ForceCheckpointFrame() ([]byte, bool, error) {
 // events of the old instance.
 func (pc *periodicCkpt) live() bool {
 	n := pc.n
-	return pc.s.active && !n.dead && n.reviveGen == pc.s.gen && n.pc == pc
+	return pc.active && !n.dead && n.reviveGen == pc.gen && n.pc == pc
 }
 
 // baseHunt polls for the first drained instant and cuts the base frame.
@@ -220,30 +213,29 @@ func (pc *periodicCkpt) baseHunt() {
 	if !pc.live() {
 		return
 	}
-	n.specTouch()
 	ck, err := n.Checkpoint()
 	if err != nil {
 		n.eng.After(pc.pollStep, pc.baseFn)
 		return
 	}
 	pc.basebuf = ck.AppendTo(pc.basebuf[:0])
-	pc.s.baseDone = true
-	pc.s.seq = 0
-	pc.s.prevCRC = ckpt.TrailingCRC(pc.basebuf)
-	pc.s.routesVer = n.driver.RoutesVersion()
+	pc.baseDone = true
+	pc.seq = 0
+	pc.prevCRC = ckpt.TrailingCRC(pc.basebuf)
+	pc.routesVer = n.driver.RoutesVersion()
 	// Open the first dirty epoch: marks stamped before this instant (or by
 	// a previous Start) compare unequal and read clean.
 	n.ckptEpoch++
 	n.rxAcks.StartDirtyTracking()
-	pc.s.inPrev = [MaxPorts]bool{}
+	pc.inPrev = [MaxPorts]bool{}
 	for id, p := range n.ports {
 		if p.open {
-			pc.s.inPrev[id] = true
+			pc.inPrev[id] = true
 		}
 	}
-	pc.s.removedSince = [MaxPorts]bool{}
-	pc.s.stats.Frames++
-	pc.s.stats.Bytes += uint64(len(pc.basebuf))
+	pc.removedSince = [MaxPorts]bool{}
+	pc.stats.Frames++
+	pc.stats.Bytes += uint64(len(pc.basebuf))
 	pc.deliver(FrameBase, 0, pc.basebuf, 0)
 	n.eng.After(pc.interval, pc.tickFn)
 }
@@ -255,18 +247,17 @@ func (pc *periodicCkpt) tick() {
 	if !pc.live() {
 		return
 	}
-	n.specTouch()
-	if pc.s.emitting {
+	if pc.emitting {
 		return
 	}
 	if !pc.dirtyAny() {
-		pc.s.stats.CleanTicks++
+		pc.stats.CleanTicks++
 		n.eng.After(pc.interval, pc.tickFn)
 		return
 	}
-	pc.s.emitting = true
-	pc.s.drainStart = n.eng.Now()
-	pc.s.deadline = pc.s.drainStart + pc.budget
+	pc.emitting = true
+	pc.drainStart = n.eng.Now()
+	pc.deadline = pc.drainStart + pc.budget
 	pc.poll()
 }
 
@@ -279,30 +270,29 @@ func (pc *periodicCkpt) poll() {
 	if !pc.live() {
 		return
 	}
-	n.specTouch()
-	if !pc.s.emitting {
+	if !pc.emitting {
 		return // forced emission or Stop landed under the scheduled poll
 	}
 	pc.freezeDirty()
 	now := n.eng.Now()
 	if pc.quiet() {
-		pc.emitDelta(now - pc.s.drainStart)
+		pc.emitDelta(now - pc.drainStart)
 		pc.finishInterval()
 		return
 	}
-	if now >= pc.s.deadline {
-		pause := now - pc.s.drainStart
-		pc.s.stats.Skips++
-		if pause > pc.s.stats.MaxPause {
-			pc.s.stats.MaxPause = pause
+	if now >= pc.deadline {
+		pause := now - pc.drainStart
+		pc.stats.Skips++
+		if pause > pc.stats.MaxPause {
+			pc.stats.MaxPause = pause
 		}
-		pc.s.stats.TotalPause += pause
+		pc.stats.TotalPause += pause
 		// No epoch advance: the dirty marks carry into the next interval.
 		pc.finishInterval()
 		return
 	}
 	step := pc.pollStep
-	if rem := pc.s.deadline - now; rem < step {
+	if rem := pc.deadline - now; rem < step {
 		step = rem
 	}
 	n.eng.After(step, pc.pollFn)
@@ -311,7 +301,7 @@ func (pc *periodicCkpt) poll() {
 // finishInterval closes the drain (frame emitted or interval skipped),
 // resumes parked deliveries and arms the next tick.
 func (pc *periodicCkpt) finishInterval() {
-	pc.s.emitting = false
+	pc.emitting = false
 	pc.thawAll()
 	pc.n.eng.After(pc.interval, pc.tickFn)
 }
@@ -323,20 +313,20 @@ func (pc *periodicCkpt) dirtyPort(p *Port) bool {
 		return false
 	}
 	id := int(p.id)
-	return !pc.s.inPrev[id] || pc.s.removedSince[id] || p.ckptMark == pc.n.ckptEpoch
+	return !pc.inPrev[id] || pc.removedSince[id] || p.ckptMark == pc.n.ckptEpoch
 }
 
 // dirtyAny reports whether the next frame would carry anything.
 func (pc *periodicCkpt) dirtyAny() bool {
 	n := pc.n
-	if n.driver.RoutesVersion() != pc.s.routesVer {
+	if n.driver.RoutesVersion() != pc.routesVer {
 		return true
 	}
 	if n.rxAcks.Replaced() || n.rxAcks.DirtyLen() > 0 {
 		return true
 	}
-	for id := range pc.s.removedSince {
-		if pc.s.removedSince[id] && pc.s.inPrev[id] {
+	for id := range pc.removedSince {
+		if pc.removedSince[id] && pc.inPrev[id] {
 			return true
 		}
 	}
@@ -401,25 +391,25 @@ func (pc *periodicCkpt) quiet() bool {
 func (pc *periodicCkpt) emitDelta(pause sim.Duration) {
 	n := pc.n
 	pc.buildDelta()
-	seq := pc.s.seq + 1
+	seq := pc.seq + 1
 	b := pc.delta.AppendTo(pc.dbuf[seq&1][:0])
 	pc.dbuf[seq&1] = b
-	pc.s.seq = seq
-	pc.s.prevCRC = ckpt.TrailingCRC(b)
-	pc.s.routesVer = n.driver.RoutesVersion()
+	pc.seq = seq
+	pc.prevCRC = ckpt.TrailingCRC(b)
+	pc.routesVer = n.driver.RoutesVersion()
 	n.ckptEpoch++
 	n.rxAcks.NextDirtyEpoch()
-	for id := range pc.s.inPrev {
+	for id := range pc.inPrev {
 		p := n.ports[PortID(id)]
-		pc.s.inPrev[id] = p != nil && p.open
-		pc.s.removedSince[id] = false
+		pc.inPrev[id] = p != nil && p.open
+		pc.removedSince[id] = false
 	}
-	pc.s.stats.Frames++
-	pc.s.stats.Bytes += uint64(len(b))
-	if pause > pc.s.stats.MaxPause {
-		pc.s.stats.MaxPause = pause
+	pc.stats.Frames++
+	pc.stats.Bytes += uint64(len(b))
+	if pause > pc.stats.MaxPause {
+		pc.stats.MaxPause = pause
 	}
-	pc.s.stats.TotalPause += pause
+	pc.stats.TotalPause += pause
 	pc.deliver(FrameDelta, seq, b, pause)
 }
 
@@ -433,10 +423,10 @@ func (pc *periodicCkpt) buildDelta() {
 	d.Reset()
 	d.UID = n.m.UID()
 	d.NodeID = n.m.NodeID()
-	d.Seq = pc.s.seq + 1
-	d.PrevCRC = pc.s.prevCRC
+	d.Seq = pc.seq + 1
+	d.PrevCRC = pc.prevCRC
 
-	if n.driver.RoutesVersion() != pc.s.routesVer {
+	if n.driver.RoutesVersion() != pc.routesVer {
 		d.RoutesReplaced = true
 		routes := n.driver.Routes()
 		pc.ids = pc.ids[:0]
@@ -462,7 +452,7 @@ func (pc *periodicCkpt) buildDelta() {
 	}
 
 	for id := PortID(0); int(id) < MaxPorts; id++ {
-		if pc.s.inPrev[id] && pc.s.removedSince[id] {
+		if pc.inPrev[id] && pc.removedSince[id] {
 			// Closed since the tip. A reopen inside the interval also lands
 			// in Ports below; Apply processes removals first.
 			d.Removed = append(d.Removed, id)
@@ -471,7 +461,7 @@ func (pc *periodicCkpt) buildDelta() {
 		if p == nil || !pc.dirtyPort(p) {
 			continue
 		}
-		fresh := !pc.s.inPrev[id] || pc.s.removedSince[id]
+		fresh := !pc.inPrev[id] || pc.removedSince[id]
 		pd := d.NextPort()
 		pd.Port = id
 		pd.NextToken = p.nextToken
@@ -499,39 +489,19 @@ func (pc *periodicCkpt) buildDelta() {
 	}
 }
 
-// deliver hands a frame to the sink. Conservative execution calls the sink
-// inline with the pooled bytes (zero-copy, zero-alloc); a speculating node
-// domain defers through the commit queue with a private copy, because the
-// pooled buffer may be rebuilt before the span's barrier resolves.
+// deliver hands a frame to the sink inline with the pooled bytes
+// (zero-copy, zero-alloc).
 func (pc *periodicCkpt) deliver(kind FrameKind, seq uint64, frame []byte, pause sim.Duration) {
-	n := pc.n
-	if n.eng.SpecActive() {
-		f := &PeriodicFrame{
-			Kind: kind, Seq: seq,
-			Bytes: append([]byte(nil), frame...),
-			Pause: pause, At: n.eng.Now(),
-		}
-		n.eng.SpecOnCommit(periodicDeliver, pc, f, 0, 0)
-		return
-	}
-	pc.sink(PeriodicFrame{Kind: kind, Seq: seq, Bytes: frame, Pause: pause, At: n.eng.Now()})
-}
-
-// periodicDeliver is the commit-queue trampoline for deliver (package-level:
-// a closure in the hot path would allocate per record).
-func periodicDeliver(a, b any, _, _ uint64) {
-	pc := a.(*periodicCkpt)
-	pc.sink(*b.(*PeriodicFrame))
+	pc.sink(PeriodicFrame{Kind: kind, Seq: seq, Bytes: frame, Pause: pause, At: pc.n.eng.Now()})
 }
 
 // --- dirty-bit stamps (called from the library's mutation sites) ---
 
 // markCkpt stamps the port dirty for the current checkpoint epoch. Inactive
-// tracking costs one pointer test; the stamp itself is a single store, the
-// same first-touch shape as SpecTouch.
+// tracking costs one pointer test; the stamp itself is a single store.
 func (p *Port) markCkpt() {
 	n := p.node
-	if n.pc == nil || !n.pc.s.active {
+	if n.pc == nil || !n.pc.active {
 		return
 	}
 	p.ckptMark = n.ckptEpoch
@@ -542,7 +512,7 @@ func (p *Port) markCkpt() {
 // region was registered while tracking was off is padded on first deposit.
 func (p *Port) markRegion(regionID uint32) {
 	n := p.node
-	if n.pc == nil || !n.pc.s.active {
+	if n.pc == nil || !n.pc.active {
 		return
 	}
 	p.ckptMark = n.ckptEpoch
@@ -566,7 +536,7 @@ func (p *Port) markRegion(regionID uint32) {
 // been in a frame). Call after appending to p.regions.
 func (p *Port) markNewRegion() {
 	n := p.node
-	if n.pc == nil || !n.pc.s.active {
+	if n.pc == nil || !n.pc.active {
 		return
 	}
 	p.ckptMark = n.ckptEpoch

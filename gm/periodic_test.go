@@ -91,7 +91,7 @@ func TestPeriodicCheckpointGuards(t *testing.T) {
 
 // TestPeriodicCheckpointChainReplay drives bidirectional traffic — ordinary
 // sends, directed deposits, a port closed and reopened mid-run — under a
-// running periodic checkpointer, then verifies the central §17 property:
+// running periodic checkpointer, then verifies the central §16 property:
 // replaying base+deltas through ckpt.ReplayChain re-encodes bit-identical
 // to a fresh Node.Checkpoint cut at the chain tip. Also asserts the drain
 // pause stayed inside the budget.
@@ -347,7 +347,7 @@ func TestPeriodicDeltaBuildZeroAlloc(t *testing.T) {
 	drainNode(t, cl, b)
 
 	pc := b.pc
-	if pc == nil || !pc.s.baseDone {
+	if pc == nil || !pc.baseDone {
 		t.Fatal("periodic checkpointer not established")
 	}
 	// Stamp everything dirty and force the route section in, so every build
@@ -359,7 +359,7 @@ func TestPeriodicDeltaBuildZeroAlloc(t *testing.T) {
 			p.regionMarks[i] = b.ckptEpoch
 		}
 	}
-	pc.s.routesVer ^= 1
+	pc.routesVer ^= 1
 
 	build := func() {
 		pc.buildDelta()

@@ -40,7 +40,6 @@ const (
 // credits) still happens at commit time, not at drain time, so a delayed
 // poll never widens the fault windows.
 func (p *Port) EnablePolling() {
-	p.specTouch()
 	p.polling = true
 }
 
@@ -57,8 +56,6 @@ func (p *Port) Receive() (ev PortEvent, ok bool) {
 	if !p.polling || len(p.pollQueue) == 0 {
 		return PortEvent{}, false
 	}
-	p.specTouch()
-	p.node.cpu.SpecTouch(p.node.eng)
 	raw := p.pollQueue[0]
 	p.pollQueue = p.pollQueue[1:]
 	p.node.cpu.Charge(p.node.cluster.cfg.Host.RecvOverhead / 4) // poll cost
@@ -85,6 +82,5 @@ func (p *Port) UnknownEvent(ev PortEvent) {
 // enqueuePoll routes an event into the polling queue after the commit-time
 // bookkeeping has been done by mcpSink.
 func (p *Port) enqueuePoll(ev gmproto.Event) {
-	p.specTouch()
 	p.pollQueue = append(p.pollQueue, ev)
 }

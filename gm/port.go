@@ -85,16 +85,12 @@ type Port struct {
 
 	stats PortStats
 
-	// Periodic-checkpoint dirty bits (gm periodic.go): epoch stamps in the
-	// SpecTouch first-touch style. ckptMark == node.ckptEpoch means the
-	// port's checkpointable state changed this interval; regionMarks
-	// parallels regions and stamps directed-deposit targets.
+	// Periodic-checkpoint dirty bits (gm periodic.go): epoch stamps.
+	// ckptMark == node.ckptEpoch means the port's checkpointable state
+	// changed this interval; regionMarks parallels regions and stamps
+	// directed-deposit targets.
 	ckptMark    uint64
 	regionMarks []uint64
-
-	// Speculation journaling (gm spec.go).
-	specMark   uint64
-	specShadow portShadow
 }
 
 // recvDispatch is one committed delivery waiting out the host receive
@@ -158,7 +154,6 @@ func (p *Port) SetSendCompletion(tokenID uint64, cb SendCallback) error {
 	}
 	for _, t := range p.shadow.OutstandingSends() {
 		if t.ID == tokenID {
-			p.specTouch()
 			p.callbacks[tokenID] = cb
 			return nil
 		}
@@ -185,9 +180,7 @@ func (p *Port) Send(dest NodeID, destPort PortID, prio Priority, data []byte, cb
 	if p.sendTokens <= 0 {
 		return ErrNoSendTokens
 	}
-	p.specTouch()
 	p.markCkpt()
-	p.node.cpu.SpecTouch(p.node.eng)
 	p.sendTokens--
 	p.nextToken++
 	tok := gmproto.SendToken{
@@ -255,9 +248,7 @@ func (p *Port) RecycleReceiveBuffer(buf []byte, prio Priority) error {
 }
 
 func (p *Port) postRecvToken(tok gmproto.RecvToken) {
-	p.specTouch()
 	p.markCkpt()
-	p.node.cpu.SpecTouch(p.node.eng)
 	p.nextToken++
 	tok.ID = p.nextToken
 	p.shadow.AddRecvToken(tok)
@@ -271,8 +262,6 @@ func (p *Port) postRecvToken(tok gmproto.RecvToken) {
 // dispatches to the application after the host receive overhead.
 func (p *Port) mcpSink(ev gmproto.Event) {
 	cfg := p.node.cluster.cfg.Host
-	p.specTouch()
-	p.node.cpu.SpecTouch(p.node.eng)
 	switch ev.Type {
 	case gmproto.EvReceived:
 		// Commit-time bookkeeping: the event carries the sequence number
@@ -343,7 +332,6 @@ func (p *Port) mcpSink(ev gmproto.Event) {
 func (p *Port) Unknown(ev gmproto.Event) {
 	switch ev.Type {
 	case gmproto.EvFaultDetected:
-		p.specTouch()
 		p.stats.Recoveries++
 		p.node.dispatchRecovery(p)
 	case gmproto.EvAlarm:

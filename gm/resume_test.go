@@ -10,15 +10,14 @@ import (
 )
 
 // resumeTrial is one deterministic mid-campaign scenario built for the
-// whole-sim snapshot/resume contract: a 4-node FTGM cluster with the
-// speculation probe pair armed, a lossy cable keeping Go-Back-N busy, and a
-// processor hang with full recovery landing inside the window. The same
-// builder must produce bit-identical runs at any shard count — that is the
-// determinism contract Resume's replay-and-attest rides on.
+// whole-sim snapshot/resume contract: a 4-node FTGM cluster with a lossy
+// cable keeping Go-Back-N busy and a processor hang with full recovery
+// landing inside the window. The same builder must produce bit-identical
+// runs at any shard count — that is the determinism contract Resume's
+// replay-and-attest rides on.
 type resumeTrial struct {
 	c         *Cluster
 	th        interface{ Sum64() uint64 }
-	pa, pb    *specProbe
 	nodes     []*Node
 	sent      []int
 	rejected  []int
@@ -30,10 +29,7 @@ type resumeTrial struct {
 
 func buildResumeTrial(t *testing.T, shards int) *resumeTrial {
 	t.Helper()
-	cfg := fastRecoveryConfig(ModeFTGM, shards)
-	cfg.Speculate = true
-	cfg.SpecHorizon = 800 * Nanosecond // below the probe link latency
-	c := NewCluster(cfg)
+	c := NewCluster(fastRecoveryConfig(ModeFTGM, shards))
 	const n = 4
 	tr := &resumeTrial{c: c, nodes: make([]*Node, n),
 		sent: make([]int, n), rejected: make([]int, n), recv: make([]int, n)}
@@ -46,9 +42,6 @@ func buildResumeTrial(t *testing.T, shards int) *resumeTrial {
 			t.Fatal(err)
 		}
 	}
-	// The probes outlive the snapshot instant: spans are still being opened
-	// and resolved when the cursor is cut.
-	tr.pa, tr.pb = attachSpecProbes(c, Time(5*Millisecond))
 	th := fnv.New64a()
 	tr.th = th
 	c.EnableTrace(th)
@@ -107,10 +100,8 @@ func buildResumeTrial(t *testing.T, shards int) *resumeTrial {
 }
 
 // finish runs the trial to completion and renders the byte-exact
-// fingerprint: executed-event totals, the full trace hash, probe state and
-// every per-node counter. Speculation counters are deliberately excluded —
-// a paused-and-resumed run legitimately resolves spans at different
-// barriers than an uninterrupted one while producing identical results.
+// fingerprint: executed-event totals, the full trace hash and every
+// per-node counter.
 func (tr *resumeTrial) finish() string {
 	tr.c.RunUntil(tr.endAt)
 	tr.c.Shutdown(Millisecond)
@@ -118,9 +109,6 @@ func (tr *resumeTrial) finish() string {
 	root := tr.c.Engine()
 	fmt.Fprintf(&fp, "events=%d now=%d recovered=%d trace=%x\n",
 		root.ExecutedAll(), tr.c.Now(), tr.recovered, tr.th.Sum64())
-	fmt.Fprintf(&fp, "probeA c=%d h=%x exec=%d\nprobeB c=%d h=%x exec=%d\n",
-		tr.pa.counter, tr.pa.hash, tr.pa.eng.Executed(),
-		tr.pb.counter, tr.pb.hash, tr.pb.eng.Executed())
 	for i, nd := range tr.nodes {
 		fmt.Fprintf(&fp, "node%d sent=%d rejected=%d recv=%d mcp=%+v\n",
 			i, tr.sent[i], tr.rejected[i], tr.recv[i], nd.MCPStats())
@@ -130,19 +118,14 @@ func (tr *resumeTrial) finish() string {
 
 // TestClusterSnapshotResumeBitForBit is the whole-sim acceptance contract:
 // a cluster campaign snapshotted mid-run at one shard count and resumed on
-// a freshly built cluster at another (speculation armed throughout,
-// recovery in flight at the cut) finishes with a fingerprint byte-identical
-// to the uninterrupted run — for every pairing of {1,4,8} snapshot shards
-// with {1,4,8} resume shards.
+// a freshly built cluster at another (recovery in flight at the cut)
+// finishes with a fingerprint byte-identical to the uninterrupted run — for
+// every pairing of {1,4,8} snapshot shards with {1,4,8} resume shards.
 func TestClusterSnapshotResumeBitForBit(t *testing.T) {
 	ref := buildResumeTrial(t, 1)
 	want := ref.finish()
 	if ref.recovered == 0 {
 		t.Fatal("reference run never completed the FTGM recovery")
-	}
-	commits, rollbacks, _, _ := ref.c.Engine().SpecStats()
-	if commits == 0 || rollbacks == 0 {
-		t.Fatalf("speculation not exercised on both outcomes (commits=%d rollbacks=%d)", commits, rollbacks)
 	}
 
 	for _, snapShards := range []int{1, 4, 8} {

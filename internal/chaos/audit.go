@@ -221,45 +221,15 @@ func (a *Auditor) RecordSendFailure(data []byte) {
 	s.failed[idx] = true
 }
 
-// DeliveryRecord is one receive event's decoded audit identity, split off
-// from the accounting so the two halves can run at different times: the
-// decode must happen inside the receive handler (the buffer is recycled the
-// moment the handler returns), but on a speculating trial the accounting
-// must wait for the span to commit (campaign.go defers it through the
-// journaled control queue, so a rolled-back delivery is never counted).
-type DeliveryRecord struct {
-	Key StreamKey
-	Idx uint32
-	// OK is false for a corrupt payload: short, unbranded, checksum
-	// failure, or an embedded stream that disagrees with the wire identity.
-	OK bool
-}
-
-// DecodeDelivery decodes one delivery's audit header against the receiver's
-// own identity. Pure — no auditor state is touched, so it is safe inside a
-// speculative span.
-func DecodeDelivery(self gm.NodeID, selfPort gm.PortID, ev gm.RecvEvent) DeliveryRecord {
-	k, idx, ok := decodeAudit(ev.Data)
-	if !ok || k.Src != ev.Src || k.SrcPort != ev.SrcPort || k.Dst != self || k.DstPort != selfPort {
-		return DeliveryRecord{}
-	}
-	return DeliveryRecord{Key: k, Idx: idx, OK: true}
-}
-
 // RecordDelivery accounts one delivery at the receiver. The receiver
 // passes its own identity; a payload whose embedded stream disagrees with
 // the wire's source, or whose checksum fails, counts as corrupt.
 func (a *Auditor) RecordDelivery(self gm.NodeID, selfPort gm.PortID, ev gm.RecvEvent) {
-	a.CommitDelivery(DecodeDelivery(self, selfPort, ev))
-}
-
-// CommitDelivery accounts one decoded delivery.
-func (a *Auditor) CommitDelivery(rec DeliveryRecord) {
-	if !rec.OK {
+	k, idx, ok := decodeAudit(ev.Data)
+	if !ok || k.Src != ev.Src || k.SrcPort != ev.SrcPort || k.Dst != self || k.DstPort != selfPort {
 		a.corrupt++
 		return
 	}
-	k, idx := rec.Key, rec.Idx
 	s := a.stream(k)
 	s.unique++ // provisional; demoted below for duplicates
 	switch {

@@ -112,12 +112,6 @@ type TrialResult struct {
 	PeriodicSkips           uint64
 	PeriodicMaxPause        sim.Duration
 	PeriodicChainMismatches uint64
-
-	// Speculation activity (zero unless TrialConfig.Speculate): spans the
-	// barrier committed and rolled back. Both are pure functions of the
-	// window schedule, so they are bit-identical across shard counts.
-	SpecCommits   uint64
-	SpecRollbacks uint64
 }
 
 // CampaignResult aggregates a campaign.
@@ -174,27 +168,6 @@ func modeName(m gm.Mode) string {
 	return "GM"
 }
 
-// portCell holds one node's live port handle. The pump reads it from the
-// control domain; a host-death revive swaps in the rebuilt handle from the
-// victim's own domain. The swap is node-domain state, so on a speculating
-// trial it journals itself like any other domain-resident mutation
-// (DESIGN.md §16): a rolled-back revive rolls the handle back too, and the
-// replayed revive installs the replayed port.
-type portCell struct {
-	eng    *sim.Engine
-	mark   uint64
-	p      *gm.Port
-	shadow *gm.Port
-}
-
-func (c *portCell) SpecSave()    { c.shadow = c.p }
-func (c *portCell) SpecRestore() { c.p = c.shadow }
-
-func (c *portCell) set(p *gm.Port) {
-	c.eng.SpecTouch(&c.mark, c)
-	c.p = p
-}
-
 // RunTrial builds one cluster, drives the all-to-all traffic, applies the
 // trial's injection plan, drains, and audits.
 func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResult, error) {
@@ -212,7 +185,6 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 	gcfg.NetWatch.Enabled = tcfg.NetWatch
 	gcfg.ControlPlane = tcfg.ControlPlane
 	gcfg.Shards = tcfg.Shards
-	gcfg.Speculate = tcfg.Speculate
 
 	cl := gm.NewCluster(gcfg)
 	var (
@@ -254,32 +226,21 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 
 	aud := NewAuditor()
 	// attach wires the audited receive handler onto a port (at open, and
-	// again onto every revive-rebuilt handle). The handler runs on the
-	// receiver's own domain; with speculation armed it decodes in place —
-	// the buffer is recycled the moment the handler returns — and defers
-	// the accounting through the journaled control queue, so a delivery
-	// executed in a rolled-back span is never counted (the replay re-issues
-	// it). Without speculation the historical inline path is kept, bit for
-	// bit.
+	// again onto every revive-rebuilt handle).
 	attach := func(n *gm.Node, p *gm.Port) {
-		self, eng := n.ID(), n.Engine()
+		self := n.ID()
 		p.SetReceiveHandler(func(ev gm.RecvEvent) {
-			if tcfg.Speculate {
-				rec := DecodeDelivery(self, tcfg.Port, ev)
-				eng.Control(func() { aud.CommitDelivery(rec) })
-			} else {
-				aud.RecordDelivery(self, tcfg.Port, ev)
-			}
+			aud.RecordDelivery(self, tcfg.Port, ev)
 			_ = p.RecycleReceiveBuffer(ev.Data, gm.PriorityLow)
 		})
 	}
-	ports := make([]*portCell, tcfg.Nodes)
+	ports := make([]*gm.Port, tcfg.Nodes)
 	for i, n := range nodes {
 		p, err := n.OpenPort(tcfg.Port)
 		if err != nil {
 			return res, err
 		}
-		ports[i] = &portCell{eng: n.Engine(), p: p}
+		ports[i] = p
 		attach(n, p)
 		for j := 0; j < 512; j++ {
 			if err := p.ProvideReceiveBuffer(uint32(tcfg.MsgBytes), gm.PriorityLow); err != nil {
@@ -313,21 +274,13 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 				// peers); the auditor excuses what the library disowned.
 				// Single-switch trials keep the historical nil callback so
 				// their accounting is bit-identical to earlier campaigns.
-				// The callback runs on the sender's domain; a speculating
-				// trial defers the accounting past the span (buf is
-				// app-owned and immutable, so the decode can wait too).
-				eng := src.Engine()
 				cb = func(st gm.SendStatus) {
 					if st != gm.SendOK {
-						if tcfg.Speculate {
-							eng.Control(func() { aud.RecordSendFailure(buf) })
-						} else {
-							aud.RecordSendFailure(buf)
-						}
+						aud.RecordSendFailure(buf)
 					}
 				}
 			}
-			if err := ports[i].p.Send(dst.ID(), tcfg.Port, gm.PriorityLow, buf, cb); err != nil {
+			if err := ports[i].Send(dst.ID(), tcfg.Port, gm.PriorityLow, buf, cb); err != nil {
 				aud.Unsend(key)
 			}
 			cl.After(tcfg.SendEvery, pump)
@@ -423,24 +376,13 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 					if !ok {
 						return
 					}
-					ports[i].set(p)
+					ports[i] = p
 					attach(n, p)
 				}
-				// The done callbacks fire on the victim's domain; a
-				// speculating trial defers the counter past the span, so
-				// a revive completed inside a rolled-back span is counted
-				// exactly once — by its replay.
-				onDone := func(fn func()) func() {
-					if !tcfg.Speculate {
-						return fn
-					}
-					eng := n.Engine()
-					return func() { eng.Control(fn) }
-				}
 				if rejoin {
-					_ = n.Rejoin(dec, reattach, onDone(func() { res.HostRejoins++ }))
+					_ = n.Rejoin(dec, reattach, func() { res.HostRejoins++ })
 				} else {
-					_ = n.Restore(dec, reattach, onDone(func() { res.HostRestores++ }))
+					_ = n.Restore(dec, reattach, func() { res.HostRestores++ })
 				}
 			})
 		}
@@ -448,11 +390,8 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 	}
 
 	// Periodic-checkpoint chains: one per KindPeriodicDeath victim. The sink
-	// runs on the victim's own domain (conservatively, or at barrier commit
-	// under speculation), so trial-local appends follow the auditor idiom —
-	// deferred through the journaled control queue when speculating, inline
-	// otherwise. Frames for one node commit oldest-first, so chain order is
-	// the emission order either way.
+	// runs on the victim's own domain and appends inline; frames for one
+	// node arrive oldest-first, so chain order is the emission order.
 	type ckptChain struct {
 		base   []byte
 		deltas [][]byte
@@ -469,26 +408,17 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 		ch := &ckptChain{}
 		chains[i] = ch
 		n := nodes[i]
-		eng := n.Engine()
 		sink := func(f gm.PeriodicFrame) {
 			// Bytes are only valid during the call; the chain owns a copy.
 			b := append([]byte(nil), f.Bytes...)
-			kind := f.Kind
-			rec := func() {
-				if kind == gm.FrameBase {
-					ch.base = b
-					ch.deltas = ch.deltas[:0]
-				} else {
-					ch.deltas = append(ch.deltas, b)
-				}
-				res.PeriodicFrames++
-				res.PeriodicBytes += uint64(len(b))
-			}
-			if tcfg.Speculate {
-				eng.Control(rec)
+			if f.Kind == gm.FrameBase {
+				ch.base = b
+				ch.deltas = ch.deltas[:0]
 			} else {
-				rec()
+				ch.deltas = append(ch.deltas, b)
 			}
+			res.PeriodicFrames++
+			res.PeriodicBytes += uint64(len(b))
 		}
 		cl.After(sim.Microsecond, func() {
 			if n.Running() && !n.Dead() {
@@ -526,8 +456,7 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 				return
 			}
 			// Snapshot the chain before forcing: the forced frame also goes
-			// through the sink (possibly deferred under speculation), and the
-			// replay list must hold it exactly once.
+			// through the sink, and the replay list must hold it exactly once.
 			replay := make([][]byte, len(ch.deltas))
 			copy(replay, ch.deltas)
 			frame, emitted, err := n.ForceCheckpointFrame()
@@ -556,15 +485,10 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 					if !ok {
 						return
 					}
-					ports[i].set(p)
+					ports[i] = p
 					attach(n, p)
 				}
-				onDone := func() { res.HostRestores++ }
-				if tcfg.Speculate {
-					eng := n.Engine()
-					onDone = func() { eng.Control(func() { res.HostRestores++ }) }
-				}
-				_ = n.Restore(replayed, reattach, onDone)
+				_ = n.Restore(replayed, reattach, func() { res.HostRestores++ })
 			})
 		}
 		hunt()
@@ -797,7 +721,6 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 	for _, s := range switches {
 		res.SwitchDeadDrops += s.Stats().DroppedDead
 	}
-	res.SpecCommits, res.SpecRollbacks, _, _ = cl.Engine().SpecStats()
 	// Counters are harvested; quiesce the trial so every pooled packet the
 	// cluster still holds — rings, in-service handlers, in-flight deliveries
 	// — returns to the arena instead of leaking with the abandoned engine.

@@ -252,15 +252,6 @@ type TrialConfig struct {
 	// executors (0 = the classic single-engine cluster). Results are
 	// bit-for-bit identical for every value >= 1.
 	Shards int
-	// Speculate arms speculative run-ahead on the sharded cluster
-	// (gm.Config.Speculate, DESIGN.md §16): node and switch domains may
-	// execute past their conservative window bound, with the barrier
-	// committing or rolling the span back. The trial's own accounting —
-	// the auditor and the revive counters — defers its commits to the
-	// control domain so a rolled-back delivery is never counted. Results
-	// stay bit-for-bit identical to the conservative run. Ignored when
-	// Shards == 0.
-	Speculate bool
 }
 
 // DefaultTrialConfig is a 4-node cluster under 2 seconds of all-to-all

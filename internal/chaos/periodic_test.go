@@ -62,45 +62,40 @@ func TestCampaignPeriodicDeathExactlyOnce(t *testing.T) {
 	}
 }
 
-// Periodic-death campaigns obey both determinism contracts: the accounting —
+// Periodic-death campaigns obey the determinism contract: the accounting —
 // including every frame count, chain byte, skip and the max drain pause — is
-// bit-for-bit invariant across shard counts, and the speculating runs match
-// the conservative baseline field for field.
+// bit-for-bit identical at 4 and 8 shards to the 1-shard run.
 func TestCampaignPeriodicDeathInvariance(t *testing.T) {
 	cfg := CampaignConfig{Trials: 2, Mode: gm.ModeFTGM, Trial: periodicTrialConfig()}
 	if testing.Short() {
 		cfg.Trials = 1
 	}
-	cfg.Trial.Speculate = false
 	cfg.Trial.Shards = 1
-	cons, err := Run(testSeed, cfg)
+	ref, err := Run(testSeed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cons.AllExactlyOnce {
-		t.Fatalf("conservative baseline audit dirty: %v", cons.Total)
+	if !ref.AllExactlyOnce {
+		t.Fatalf("1-shard campaign audit dirty: %v", ref.Total)
 	}
-	cfg.Trial.Speculate = true
-	for _, shards := range []int{1, 4, 8} {
+	for i, tr := range ref.Trials {
+		if tr.PeriodicFrames == 0 {
+			t.Fatalf("trial %d shipped no frames: %+v", i, tr)
+		}
+		if tr.PeriodicChainMismatches != 0 {
+			t.Fatalf("trial %d: %d chain replays diverged", i, tr.PeriodicChainMismatches)
+		}
+	}
+	for _, shards := range []int{4, 8} {
 		cfg.Trial.Shards = shards
 		got, err := Run(testSeed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.AllExactlyOnce {
-			t.Fatalf("speculating campaign audit dirty at %d shards: %v", shards, got.Total)
-		}
 		for i, tr := range got.Trials {
-			if tr.PeriodicFrames == 0 {
-				t.Fatalf("trial %d at %d shards shipped no frames under speculation: %+v", i, shards, tr)
-			}
-			if tr.PeriodicChainMismatches != 0 {
-				t.Fatalf("trial %d at %d shards: %d chain replays diverged", i, shards, tr.PeriodicChainMismatches)
-			}
-			tr.SpecCommits, tr.SpecRollbacks = 0, 0
-			if !reflect.DeepEqual(cons.Trials[i], tr) {
-				t.Fatalf("trial %d differs from the conservative run at %d shards:\n cons: %+v\n spec: %+v",
-					i, shards, cons.Trials[i], tr)
+			if !reflect.DeepEqual(ref.Trials[i], tr) {
+				t.Fatalf("trial %d differs from the 1-shard run at %d shards:\n ref: %+v\n got: %+v",
+					i, shards, ref.Trials[i], tr)
 			}
 		}
 	}

@@ -65,10 +65,6 @@ type Driver struct {
 	mcpLoadFailures int
 
 	stats DriverStats
-
-	// Speculation journaling (core spec.go).
-	specMark uint64
-	shadow   driverShadow
 }
 
 // DriverStats counts driver-level events.
@@ -124,7 +120,6 @@ func (d *Driver) SetOnNetFault(fn func(target gmproto.NodeID)) { d.onNetFault = 
 // interrupt, the handler itself cannot run a remap (not in process
 // context), so it only forwards to the daemon.
 func (d *Driver) handleNetFault(target gmproto.NodeID) {
-	d.specTouch()
 	d.stats.NetFaultReports++
 	d.eng.After(d.cfg.InterruptLatency, func() {
 		if d.onNetFault != nil {
@@ -136,7 +131,6 @@ func (d *Driver) handleNetFault(target gmproto.NodeID) {
 // SetRoutes stores the authoritative route table (mapper output); the FTD
 // restores it into a recovering LANai.
 func (d *Driver) SetRoutes(id gmproto.NodeID, routes map[gmproto.NodeID][]byte) {
-	d.specTouch()
 	d.nodeID = id
 	d.routesVer++
 	d.routes = make(map[gmproto.NodeID][]byte, len(routes))
@@ -170,10 +164,8 @@ func (d *Driver) LoadMCP(done func()) {
 // time is always charged, but an injected failure leaves the chip stopped
 // and reports ok=false so the FTD can retry with backoff.
 func (d *Driver) LoadMCPChecked(done func(ok bool)) {
-	d.specTouch()
 	d.stats.MCPLoads++
 	d.eng.After(d.cfg.MCPLoadTime, func() {
-		d.specTouch()
 		if d.mcpLoadFailures > 0 {
 			d.mcpLoadFailures--
 			d.stats.MCPLoadFailures++
@@ -195,7 +187,6 @@ func (d *Driver) LoadMCPChecked(done func(ok bool)) {
 
 // SetMCPLoadFailures makes the next n MCP loads fail (fault injection).
 func (d *Driver) SetMCPLoadFailures(n int) {
-	d.specTouch()
 	d.mcpLoadFailures = n
 }
 
@@ -205,16 +196,13 @@ func (d *Driver) OpenPort(port gmproto.PortID, sink mcp.EventSink) error {
 	if err := d.m.HostOpenPort(port, sink); err != nil {
 		return err
 	}
-	d.specTouch()
 	d.openPorts[port] = sink
 	return nil
 }
 
 // ClosePort closes a port and forgets it.
 func (d *Driver) ClosePort(port gmproto.PortID) {
-	d.specTouch()
 	d.m.HostClosePort(port)
-	d.pageTable.SpecTouch(d.eng)
 	d.pageTable.UnpinPort(int(port))
 	delete(d.openPorts, port)
 }
@@ -241,7 +229,6 @@ func (d *Driver) handleInterrupt(isr uint32) {
 	if isr&lanai.ISRTimer1 == 0 {
 		return
 	}
-	d.specTouch()
 	if d.fataled {
 		// A recovery is already in hand. Don't wake the FTD again —
 		// remember the report and re-deliver it once delivery is re-armed,
@@ -263,7 +250,6 @@ func (d *Driver) handleInterrupt(isr uint32) {
 // that was suppressed during the recovery is re-delivered now; the FTD's
 // magic-word verification then decides whether it still warrants a reset.
 func (d *Driver) ClearFatal() {
-	d.specTouch()
 	d.fataled = false
 	if !d.pendingFatal {
 		return
@@ -285,7 +271,6 @@ func (d *Driver) ClearFatal() {
 // messages that were ACKed but not yet DMAed are gone (Figure 5). The
 // caller re-posts whatever tokens the application still remembers.
 func (d *Driver) NaiveRestart(done func()) {
-	d.specTouch()
 	d.stats.NaiveRestarts++
 	d.chip.Reset()
 	d.chip.ClearSRAM()

@@ -257,10 +257,6 @@ type FTD struct {
 	reloadAttempts int
 	restarts       int
 
-	// Speculation journaling (core spec.go).
-	specMark uint64
-	shadow   ftdShadow
-
 	// OnRecovered runs after FAULT_DETECTED events are posted (tests and
 	// experiment harnesses hook it).
 	OnRecovered func(*Timeline)
@@ -314,7 +310,6 @@ func (f *FTD) MarkFault() {
 	if f.state != ftdIdle {
 		return
 	}
-	f.SpecTouch()
 	f.timeline = NewTimeline()
 	f.timeline.Mark(PhaseFaultInjected, f.eng.Now())
 }
@@ -324,7 +319,6 @@ func (f *FTD) MarkFault() {
 // already suppresses re-entrant FATALs, but a re-delivered pending FATAL
 // can still race a Retry, so the daemon guards its own state too.
 func (f *FTD) wake() {
-	f.SpecTouch()
 	f.stats.Wakeups++
 	if f.state != ftdIdle {
 		return
@@ -341,7 +335,6 @@ func (f *FTD) verify() {
 	chip := f.driver.Chip()
 	chip.WriteWord(lanai.MagicAddr, lanai.MagicWord)
 	f.eng.After(f.cfg.VerifyInterval, func() {
-		f.SpecTouch()
 		if chip.ReadWord(lanai.MagicAddr) != lanai.MagicWord {
 			// The LANai is alive; false alarm. Re-arm and go back to sleep
 			// without resetting anything.
@@ -364,7 +357,6 @@ func (f *FTD) verify() {
 func (f *FTD) recover() {
 	d := f.driver
 	chip := d.Chip()
-	f.SpecTouch()
 	f.reloadAttempts = 0
 	f.eng.After(f.cfg.DisableInterrupts, func() {
 		// Interrupts disabled, IO unmapped.
@@ -375,7 +367,6 @@ func (f *FTD) recover() {
 				chip.Reset()
 				f.eng.After(f.cfg.ClearSRAM, func() {
 					chip.ClearSRAM()
-					f.SpecTouch()
 					f.timeline.Mark(PhaseCardReset, f.eng.Now())
 					// Reload the MCP (the dominant cost, ~500 ms).
 					f.reloadMCP()
@@ -388,10 +379,8 @@ func (f *FTD) recover() {
 // reloadMCP attempts the MCP reload, retrying a failed load with capped
 // exponential backoff before giving up terminally.
 func (f *FTD) reloadMCP() {
-	f.SpecTouch()
 	f.reloadAttempts++
 	f.driver.LoadMCPChecked(func(ok bool) {
-		f.SpecTouch()
 		if !ok {
 			if f.reloadAttempts >= f.cfg.MaxReloadAttempts {
 				f.fail(fmt.Sprintf("mcp reload failed %d times", f.reloadAttempts))
@@ -421,7 +410,6 @@ func (f *FTD) alive() bool {
 	if f.driver.Chip().Running() {
 		return true
 	}
-	f.SpecTouch()
 	f.restarts++
 	f.stats.RecoveryRestarts++
 	if f.restarts > f.cfg.MaxRecoveryRestarts {
@@ -438,7 +426,6 @@ func (f *FTD) alive() bool {
 // disarmed — further watchdog expiries are suppressed and the simulation
 // quiesces instead of looping — until Retry re-enters recovery.
 func (f *FTD) fail(reason string) {
-	f.SpecTouch()
 	f.state = ftdFailed
 	f.outcome = RecoveryFailed
 	f.failReason = reason
@@ -456,7 +443,6 @@ func (f *FTD) Retry() {
 	if f.state != ftdFailed {
 		return
 	}
-	f.SpecTouch()
 	f.state = ftdRecovering
 	f.outcome = RecoveryPending
 	f.failReason = ""
@@ -481,7 +467,6 @@ func (f *FTD) restoreTables() {
 				d.MCP().UploadRoutes(d.Routes())
 				d.MCP().SetNodeID(d.NodeID())
 			}
-			f.SpecTouch()
 			f.timeline.Mark(PhaseTablesRestored, f.eng.Now())
 			f.postFaultEvents()
 		})
@@ -495,7 +480,6 @@ func (f *FTD) postFaultEvents() {
 	ports := d.OpenPorts()
 	var next func(i int)
 	next = func(i int) {
-		f.SpecTouch()
 		if i >= len(ports) {
 			f.timeline.Mark(PhaseEventsPosted, f.eng.Now())
 			f.stats.Recoveries++

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"repro/internal/gmproto"
-	"repro/internal/sim"
 )
 
 // ShadowStore is one port's backup copy of the state the LANai holds on its
@@ -43,16 +42,6 @@ type ShadowStore struct {
 	// remote node on a per-port basis" (§4.1), with GM's two priority
 	// levels carrying separate spaces.
 	txSeq map[seqKey]uint32
-
-	// Speculation journaling (core spec.go): a per-operation undo log —
-	// these maps mutate on every send and receive, so a whole-map shadow
-	// per span would be far more expensive than logging displaced entries.
-	eng                      *sim.Engine
-	specMark                 uint64
-	ops                      []shadowOp
-	sendLen, recvLen         int
-	sendSnapped, recvSnapped bool
-	sendSnap, recvSnap       []uint64
 }
 
 type seqKey struct {
@@ -75,9 +64,7 @@ func (s *ShadowStore) Port() gmproto.PortID { return s.port }
 
 // NextSeq mints the next sequence number of the (dest, priority) stream.
 func (s *ShadowStore) NextSeq(dest gmproto.NodeID, prio gmproto.Priority) uint32 {
-	s.specTouch()
 	k := seqKey{node: dest, prio: prio}
-	s.logSeq(k)
 	s.txSeq[k]++
 	return s.txSeq[k]
 }
@@ -87,11 +74,8 @@ func (s *ShadowStore) NextSeq(dest gmproto.NodeID, prio gmproto.Priority) uint32
 // terminal send failures left gaps in the old streams, so both sides restart
 // at sequence 1 (the receive side forgets via RxAckTable.Forget).
 func (s *ShadowStore) ResetPeerSeqs(node gmproto.NodeID) {
-	s.specTouch()
 	lo := seqKey{node: node, prio: gmproto.PriorityLow}
 	hi := seqKey{node: node, prio: gmproto.PriorityHigh}
-	s.logSeq(lo)
-	s.logSeq(hi)
 	delete(s.txSeq, lo)
 	delete(s.txSeq, hi)
 }
@@ -101,21 +85,17 @@ func (s *ShadowStore) ResetPeerSeqs(node gmproto.NodeID) {
 // queue" (§4.1). Re-adding an id that was removed places it at the back of
 // the queue (it is a fresh token that happens to reuse the id).
 func (s *ShadowStore) AddSendToken(tok gmproto.SendToken) {
-	s.specTouch()
 	if _, dup := s.sendTokens[tok.ID]; !dup {
 		if hasID(s.sendOrder, tok.ID) {
-			s.snapSendOrder()
 			s.sendOrder = scrubID(s.sendOrder, tok.ID)
 		}
 		s.sendOrder = append(s.sendOrder, tok.ID)
 	}
-	s.logSend(tok.ID)
 	s.sendTokens[tok.ID] = tok
 }
 
-// hasID reports whether id occurs in order (a stale occurrence means the
-// scrub will rewrite content in place, which the speculation journal must
-// snapshot first; a plain append needs only the saved length).
+// hasID reports whether id occurs in order, so the common case — a fresh
+// id — appends without rewriting the order slice.
 func hasID(order []uint64, id uint64) bool {
 	for _, v := range order {
 		if v == id {
@@ -139,22 +119,17 @@ func scrubID(order []uint64, id uint64) []uint64 {
 // RemoveSendToken drops the copy "just before the callback function for
 // that send token is invoked" (§4.1).
 func (s *ShadowStore) RemoveSendToken(id uint64) {
-	s.specTouch()
-	s.logSend(id)
 	delete(s.sendTokens, id)
 }
 
 // AddRecvToken records a provided receive buffer.
 func (s *ShadowStore) AddRecvToken(tok gmproto.RecvToken) {
-	s.specTouch()
 	if _, dup := s.recvTokens[tok.ID]; !dup {
 		if hasID(s.recvOrder, tok.ID) {
-			s.snapRecvOrder()
 			s.recvOrder = scrubID(s.recvOrder, tok.ID)
 		}
 		s.recvOrder = append(s.recvOrder, tok.ID)
 	}
-	s.logRecv(tok.ID)
 	s.recvTokens[tok.ID] = tok
 }
 
@@ -162,8 +137,6 @@ func (s *ShadowStore) AddRecvToken(tok gmproto.RecvToken) {
 // this time, also deletes the corresponding copy of the receive token",
 // §4.1).
 func (s *ShadowStore) RemoveRecvToken(id uint64) {
-	s.specTouch()
-	s.logRecv(id)
 	delete(s.recvTokens, id)
 }
 
@@ -179,15 +152,10 @@ func (s *ShadowStore) OutstandingSends() []gmproto.SendToken {
 // appending onto dst (usually dst[:0] of a pooled slice) keeps periodic
 // checkpoint encoding allocation-free at steady state.
 func (s *ShadowStore) AppendOutstandingSends(dst []gmproto.SendToken) []gmproto.SendToken {
-	s.specTouch()
 	live := s.sendOrder[:0]
 	for _, id := range s.sendOrder {
 		tok, ok := s.sendTokens[id]
 		if !ok {
-			// First stale entry: the compaction below starts rewriting
-			// content in place, and up to here every write was an identity,
-			// so the span-start prefix is still intact to snapshot.
-			s.snapSendOrder()
 			continue
 		}
 		live = append(live, id)
@@ -205,12 +173,10 @@ func (s *ShadowStore) OutstandingRecvs() []gmproto.RecvToken {
 
 // AppendOutstandingRecvs is OutstandingRecvs into a caller-retained buffer.
 func (s *ShadowStore) AppendOutstandingRecvs(dst []gmproto.RecvToken) []gmproto.RecvToken {
-	s.specTouch()
 	live := s.recvOrder[:0]
 	for _, id := range s.recvOrder {
 		tok, ok := s.recvTokens[id]
 		if !ok {
-			s.snapRecvOrder()
 			continue
 		}
 		live = append(live, id)
@@ -271,9 +237,7 @@ func (s *ShadowStore) AppendSeqStreams(dst []SeqStream) []SeqStream {
 // RestoreSeq reinstates a sequence-stream cursor from a checkpoint: the next
 // NextSeq for (node, prio) returns last+1.
 func (s *ShadowStore) RestoreSeq(node gmproto.NodeID, prio gmproto.Priority, last uint32) {
-	s.specTouch()
 	k := seqKey{node: node, prio: prio}
-	s.logSeq(k)
 	s.txSeq[k] = last
 }
 
@@ -308,19 +272,10 @@ type RxAckTable struct {
 	// with the current epoch, and NextDirtyEpoch (called after each delta
 	// emission) opens a fresh epoch without touching the marks. Forget
 	// deletes entries — which a merge delta cannot express — so it latches
-	// replaced, telling the next delta to carry the whole table. All of it
-	// is journaled through the same undo log as the entries: a rolled-back
-	// span must not leave false dirt, or checkpoint frames would depend on
-	// the speculation schedule instead of virtual time alone.
+	// replaced, telling the next delta to carry the whole table.
 	marks    map[gmproto.StreamID]uint64
 	epoch    uint64
 	replaced bool
-
-	// Speculation journaling (core spec.go): per-operation undo log — the
-	// table takes a write per received message.
-	eng      *sim.Engine
-	specMark uint64
-	ops      []rxAckOp
 }
 
 // NewRxAckTable returns an empty table.
@@ -331,8 +286,6 @@ func NewRxAckTable() *RxAckTable {
 // Update records a received (and host-committed) sequence number.
 func (t *RxAckTable) Update(id gmproto.StreamID, seq uint32) {
 	if seq > t.last[id] {
-		t.specTouch()
-		t.logEntry(id)
 		t.last[id] = seq
 		t.markDirty(id)
 	}
@@ -353,14 +306,26 @@ func (t *RxAckTable) Snapshot() map[gmproto.StreamID]uint32 {
 // Forget drops every stream originating at one remote node. Used on
 // readmission of an expelled peer, whose streams restart at sequence 1.
 func (t *RxAckTable) Forget(node gmproto.NodeID) {
-	t.specTouch()
 	for id := range t.last {
 		if id.Node == node {
-			t.logEntry(id)
 			delete(t.last, id)
 		}
 	}
 	t.setReplaced()
+}
+
+// markDirty stamps a stream with the current epoch.
+func (t *RxAckTable) markDirty(id gmproto.StreamID) {
+	if t.epoch != 0 {
+		t.marks[id] = t.epoch
+	}
+}
+
+// setReplaced latches the replace-all flag for the current epoch.
+func (t *RxAckTable) setReplaced() {
+	if t.epoch != 0 {
+		t.replaced = true
+	}
 }
 
 // Len reports how many streams are tracked.
@@ -371,11 +336,9 @@ func (t *RxAckTable) Len() int { return len(t.last) }
 // needs marking. Idempotent restart after StopDirtyTracking opens a fresh
 // epoch (stale marks from the previous run compare unequal and read clean).
 func (t *RxAckTable) StartDirtyTracking() {
-	t.specTouch()
 	if t.marks == nil {
 		t.marks = make(map[gmproto.StreamID]uint64, len(t.last)+16)
 	}
-	t.logEpoch()
 	t.epoch++
 	t.replaced = false
 }
@@ -386,8 +349,6 @@ func (t *RxAckTable) StopDirtyTracking() {
 	if t.epoch == 0 {
 		return
 	}
-	t.specTouch()
-	t.logEpoch()
 	t.epoch = 0
 	t.replaced = false
 }
@@ -398,8 +359,6 @@ func (t *RxAckTable) NextDirtyEpoch() {
 	if t.epoch == 0 {
 		return
 	}
-	t.specTouch()
-	t.logEpoch()
 	t.epoch++
 	t.replaced = false
 }
@@ -423,8 +382,7 @@ func (t *RxAckTable) DirtyLen() int {
 
 // AppendDirtyStreams appends the streams dirtied in the current epoch,
 // sorted by (node, port, priority). Marks whose entry has since been
-// deleted (a rolled-back insert, or a Forget — which forces a full replace
-// anyway) are skipped, so the result is a pure function of committed state.
+// deleted (by a Forget, which forces a full replace anyway) are skipped.
 func (t *RxAckTable) AppendDirtyStreams(dst []gmproto.StreamID) []gmproto.StreamID {
 	base := len(dst)
 	for id, m := range t.marks {

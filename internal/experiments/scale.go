@@ -55,23 +55,6 @@ type ScaleOptions struct {
 	Drain sim.Duration
 	// Seed defaults to 2003.
 	Seed uint64
-	// Monitors attaches one co-simulated load-monitor domain per leaf: a
-	// ticker ring exchanging digests over its own lookahead edges, each
-	// registering wholesale save/restore speculation hooks (FTHP-style
-	// co-simulated daemons). Their schedule does not feed the fabric, so
-	// node-level counters are identical with or without them.
-	Monitors bool
-	// Speculate arms speculative run-ahead on the engine
-	// (gm.Config.Speculate, DESIGN.md §16): the gm node and switch domains
-	// journal their mutations through incremental undo logs and run past
-	// their conservative window bounds, as do the monitors via their
-	// wholesale hooks. The harness's own per-node workload counters live in
-	// journaled cells so a rolled-back span never leaks into the totals.
-	// Requires Shards >= 1.
-	Speculate bool
-	// SpecHorizon bounds how far past the conservative bound a span may
-	// run; zero picks the cluster default (8x the link propagation delay).
-	SpecHorizon sim.Duration
 	// ParallelThreshold overrides how many due domains a window needs
 	// before it is dispatched to the worker pool (0 = engine default).
 	ParallelThreshold int
@@ -93,22 +76,7 @@ type ScaleResult struct {
 	Now       sim.Time     `json:"virtual_now"`
 	Virtual   sim.Duration `json:"virtual_ns"`
 	WallNs    int64        `json:"wall_ns"`
-
-	// Speculation outcome, nonzero only on Speculate runs.
-	Speculative   bool   `json:"speculative,omitempty"`
-	Threshold     int    `json:"threshold,omitempty"`
-	MonitorTicks  uint64 `json:"monitor_ticks,omitempty"`
-	SpecCommits   uint64 `json:"spec_commits,omitempty"`
-	SpecRollbacks uint64 `json:"spec_rollbacks,omitempty"`
-	// Adaptive-horizon telemetry (DESIGN.md §16): the spread of per-domain
-	// effective horizons when the run ended. Like the commit/rollback
-	// counters these are pure functions of the window schedule, so they are
-	// bit-identical across executor counts and gate the single-core
-	// overhead story: a low mean relative to SpecHorizon shows the AIMD
-	// controller throttling speculation where it keeps losing.
-	HorizonLo   sim.Duration `json:"horizon_lo,omitempty"`
-	HorizonHi   sim.Duration `json:"horizon_hi,omitempty"`
-	HorizonMean sim.Duration `json:"horizon_mean,omitempty"`
+	Threshold int          `json:"threshold,omitempty"`
 }
 
 // closShape picks a two-tier Clos for n nodes: the widest per-leaf fan-in
@@ -153,174 +121,18 @@ func scaleConfig(opts ScaleOptions) gm.Config {
 	cfg.FTD.ClearSRAM = 500 * sim.Microsecond
 	cfg.FTD.RestorePageTable = sim.Millisecond
 	cfg.FTD.RestoreRoutes = 500 * sim.Microsecond
-	cfg.Speculate = opts.Speculate
-	cfg.SpecHorizon = opts.SpecHorizon
 	cfg.ParallelThreshold = opts.ParallelThreshold
 	return cfg
 }
 
-// scaleMonitor is one co-simulated load monitor: its own event domain,
-// an RNG-paced tick that folds a digest, and a periodic digest message to
-// the next monitor in the ring across a TimedBoundary. It registers
-// speculation hooks, so with Speculate armed its spans commit during quiet
-// stretches and roll back when a neighbor's digest lands inside one.
-type scaleMonitor struct {
-	eng     *sim.Engine
-	counter uint64
-	digest  uint64
-	out     *monitorBoundary
-	lat     sim.Duration
-	tick    sim.Duration
-	stopAt  sim.Time
-}
-
-type monitorMsg struct {
-	at sim.Time
-	v  uint64
-}
-
-// monitorBoundary carries digests between adjacent monitors in the ring.
-type monitorBoundary struct {
-	src, dst *sim.Engine
-	tgt      *scaleMonitor
-	class    uint32 // arrival ordering class (sim.AtArrival)
-	q        []monitorMsg
-	noted    bool
-}
-
-func (b *monitorBoundary) BoundaryTarget() *sim.Engine { return b.dst }
-
-func (b *monitorBoundary) EarliestPending() sim.Time {
-	min := sim.Forever
-	for _, m := range b.q {
-		if m.at < min {
-			min = m.at
-		}
-	}
-	return min
-}
-
-func (b *monitorBoundary) FlushBoundary() {
-	b.noted = false
-	for _, m := range b.q {
-		m := m
-		b.dst.AtArrival(m.at, b.class, "mon", func() { b.tgt.fold(m.v ^ 0x5bd1e995) })
-	}
-	b.q = b.q[:0]
-}
-
-// monitorSnap is the component checkpoint the speculation hooks copy.
-type monitorSnap struct {
-	counter uint64
-	digest  uint64
-	outQ    []monitorMsg
-	noted   bool
-}
-
-func (m *scaleMonitor) save() any {
-	return monitorSnap{
-		counter: m.counter,
-		digest:  m.digest,
-		outQ:    append([]monitorMsg(nil), m.out.q...),
-		noted:   m.out.noted,
-	}
-}
-
-func (m *scaleMonitor) restore(v any) {
-	s := v.(monitorSnap)
-	m.counter = s.counter
-	m.digest = s.digest
-	m.out.q = append(m.out.q[:0], s.outQ...)
-	m.out.noted = s.noted
-}
-
-func (m *scaleMonitor) fold(v uint64) {
-	h := m.digest ^ v
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	m.digest = h ^ (h >> 27)
-}
-
-func (m *scaleMonitor) run() {
-	m.counter++
-	m.fold(m.counter)
-	m.fold(m.eng.RNG().Uint64())
-	if m.counter%32 == 0 {
-		m.out.q = append(m.out.q, monitorMsg{at: m.eng.Now() + m.lat, v: m.digest})
-		if !m.out.noted {
-			m.out.noted = true
-			m.eng.NoteBoundary(m.out)
-		}
-	}
-	// RNG-paced sampling much denser than the ring latency: that is the
-	// regime where speculative spans hold several events below the
-	// neighbor-derived commit bound, so speculation actually pays.
-	if next := m.eng.Now() + m.tick + m.eng.RNG().Duration(m.tick); next <= m.stopAt {
-		m.eng.AtLabel(next, "mon", m.run)
-	}
-}
-
-// attachMonitors carves one monitor domain per leaf and rings them
-// together. Must run before Boot (domains and edges are fixed at first
-// Run); the caller tightens stopAt once the post-boot clock is known —
-// each tick re-reads it, so the chains wind down on time.
-func attachMonitors(c *gm.Cluster, leaves int, lat sim.Duration) []*scaleMonitor {
-	mons := make([]*scaleMonitor, leaves)
-	for i := range mons {
-		mons[i] = &scaleMonitor{
-			eng:    c.Engine().NewDomain(fmt.Sprintf("mon%d", i)),
-			lat:    lat,
-			tick:   100 * sim.Nanosecond,
-			stopAt: sim.Forever,
-		}
-	}
-	for i, m := range mons {
-		next := mons[(i+1)%leaves]
-		m.out = &monitorBoundary{src: m.eng, dst: next.eng, tgt: next, class: next.eng.ArrivalClass()}
-		m.eng.ObserveEdgeLookahead(next.eng, lat)
-		m.eng.EnableSpeculation(m.save, m.restore)
-	}
-	for i, m := range mons {
-		m := m
-		m.eng.AtLabel(sim.Time(500+i*11)*sim.Nanosecond, "mon", m.run)
-	}
-	return mons
-}
-
-// scaleCell is one node's workload state — the peer cursor and the traffic
-// counters the harness mutates from inside that node's event domain. Node
-// domains genuinely speculate now (DESIGN.md §16), so these mutations must
-// ride the same undo journal as the library's own state: every callback
-// touches the cell before mutating it, and a rolled-back span restores the
-// shadow. Without this, a replayed tick would double-count its send.
+// scaleCell is one node's workload state: the peer cursor and the traffic
+// counters the harness mutates from inside that node's event domain.
 type scaleCell struct {
-	eng  *sim.Engine
-	mark uint64
-
 	peer      int
 	sent      int64
 	rejected  int64
 	delivered int64
 	recovered int
-
-	shadow scaleSnap
-}
-
-type scaleSnap struct {
-	peer                      int
-	sent, rejected, delivered int64
-	recovered                 int
-}
-
-func (w *scaleCell) touch() { w.eng.SpecTouch(&w.mark, w) }
-
-func (w *scaleCell) SpecSave() {
-	w.shadow = scaleSnap{w.peer, w.sent, w.rejected, w.delivered, w.recovered}
-}
-
-func (w *scaleCell) SpecRestore() {
-	s := w.shadow
-	w.peer, w.sent, w.rejected, w.delivered, w.recovered =
-		s.peer, s.sent, s.rejected, s.delivered, s.recovered
 }
 
 // RunScale executes one scaling trial and reports its schedule counters
@@ -352,13 +164,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	var mons []*scaleMonitor
-	if opts.Monitors {
-		// The ring latency is the monitors' own co-sim contract, not the
-		// cable: 2 µs keeps the digest edges much wider than the sampling
-		// cadence, which is what gives speculative spans room to commit.
-		mons = attachMonitors(c, leaves, 2*sim.Microsecond)
-	}
 
 	start := time.Now()
 	if _, err := topo.Boot(c); err != nil {
@@ -367,12 +172,11 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 
 	n := len(topo.Nodes)
 	res := ScaleResult{
-		Nodes:       n,
-		Shards:      opts.Shards,
-		Pattern:     opts.Pattern,
-		Storm:       opts.Storm,
-		Speculative: opts.Speculate,
-		Threshold:   opts.ParallelThreshold,
+		Nodes:     n,
+		Shards:    opts.Shards,
+		Pattern:   opts.Pattern,
+		Storm:     opts.Storm,
+		Threshold: opts.ParallelThreshold,
 	}
 	cells := make([]*scaleCell, n)
 	ports := make([]*gm.Port, n)
@@ -382,10 +186,9 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 			return ScaleResult{}, err
 		}
 		ports[i] = p
-		w := &scaleCell{eng: node.Engine(), peer: (i + 1) % n}
+		w := &scaleCell{peer: (i + 1) % n}
 		cells[i] = w
 		p.SetReceiveHandler(func(ev gm.RecvEvent) {
-			w.touch()
 			w.delivered++
 			_ = p.RecycleReceiveBuffer(ev.Data, ev.Prio)
 		})
@@ -401,9 +204,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 	}
 
 	stopAt := c.Now() + opts.Duration
-	for _, m := range mons {
-		m.stopAt = stopAt
-	}
 	payload := make([]byte, opts.MsgBytes)
 	for i, node := range topo.Nodes {
 		if opts.Pattern == PatternIncast && i == 0 {
@@ -417,7 +217,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 			if eng.Now() >= stopAt {
 				return
 			}
-			w.touch()
 			dst := 0
 			if opts.Pattern == PatternAllToAll {
 				if w.peer == i {
@@ -445,10 +244,7 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 			}
 			node := node
 			w := cells[i]
-			node.Recovered = func() {
-				w.touch()
-				w.recovered++
-			}
+			node.Recovered = func() { w.recovered++ }
 			c.After(opts.Duration/2, func() { node.InjectHang() })
 		}
 	}
@@ -481,13 +277,6 @@ func RunScale(opts ScaleOptions) (ScaleResult, error) {
 	res.Events = c.Engine().ExecutedAll()
 	res.Now = c.Now()
 	res.Virtual = sim.Duration(res.Now)
-	for _, m := range mons {
-		res.MonitorTicks += m.counter
-	}
-	res.SpecCommits, res.SpecRollbacks, _, _ = c.Engine().SpecStats()
-	if opts.Speculate {
-		res.HorizonLo, res.HorizonHi, res.HorizonMean = c.Engine().SpecHorizonStats()
-	}
 	if opts.Storm && res.Recovered == 0 {
 		return res, fmt.Errorf("scale: storm injected but no node completed recovery")
 	}
@@ -574,39 +363,30 @@ type MatrixPoint struct {
 	Result ScaleResult `json:"result"`
 }
 
-// ScaleMatrix runs the multi-core matrix on one cluster size: shard count x
-// {conservative, speculative} with the monitor ring attached in every cell
-// (so the workloads are identical and the columns comparable), plus a
-// dispatch-threshold sweep on the last shard count. It cross-checks the
-// invariance contract on the way: every cell with the same Speculate
-// setting must execute the identical virtual schedule regardless of shard
-// count or threshold.
+// ScaleMatrix runs the multi-core matrix on one cluster size: one cell per
+// shard count, plus a dispatch-threshold sweep on the last shard count. It
+// cross-checks the invariance contract on the way: every cell must execute
+// the identical virtual schedule (Sent, Delivered, Events, Now) as the
+// first one, regardless of shard count or threshold.
 func ScaleMatrix(nodes int, shardCounts, thresholds []int, dur sim.Duration) ([]MatrixPoint, error) {
 	base := ScaleOptions{
-		Nodes:       nodes,
-		Pattern:     PatternAllToAll,
-		Duration:    dur,
-		Monitors:    true,
-		SpecHorizon: sim.Microsecond,
+		Nodes:    nodes,
+		Pattern:  PatternAllToAll,
+		Duration: dur,
 	}
 	var pts []MatrixPoint
-	var refCons, refSpec *ScaleResult
-	check := func(label string, r ScaleResult, ref **ScaleResult) error {
+	var ref *ScaleResult
+	check := func(label string, r ScaleResult) error {
 		if r.Delivered != r.Sent {
 			return fmt.Errorf("scale matrix %s: delivered %d of %d accepted sends", label, r.Delivered, r.Sent)
 		}
-		if *ref == nil {
-			c := r
-			*ref = &c
+		if ref == nil {
+			ref = &r
 			return nil
 		}
-		o := **ref
-		if r.Sent != o.Sent || r.Delivered != o.Delivered || r.Events != o.Events ||
-			r.Now != o.Now || r.MonitorTicks != o.MonitorTicks ||
-			r.SpecCommits != o.SpecCommits || r.SpecRollbacks != o.SpecRollbacks ||
-			r.HorizonLo != o.HorizonLo || r.HorizonHi != o.HorizonHi ||
-			r.HorizonMean != o.HorizonMean {
-			return fmt.Errorf("scale matrix %s: schedule diverged from its reference cell:\n  ref: %+v\n  got: %+v", label, o, r)
+		o := *ref
+		if r.Sent != o.Sent || r.Delivered != o.Delivered || r.Events != o.Events || r.Now != o.Now {
+			return fmt.Errorf("scale matrix %s: schedule diverged from the reference cell:\n  ref: %+v\n  got: %+v", label, o, r)
 		}
 		return nil
 	}
@@ -616,14 +396,14 @@ func ScaleMatrix(nodes int, shardCounts, thresholds []int, dur sim.Duration) ([]
 	// cost — cells are compared against each other by regression gates, and
 	// a single noisy measurement on a loaded host would fail them spuriously.
 	const matrixRepeats = 3
-	run := func(label string, opts ScaleOptions, ref **ScaleResult) error {
+	run := func(label string, opts ScaleOptions) error {
 		var best ScaleResult
 		for i := 0; i < matrixRepeats; i++ {
 			r, err := RunScale(opts)
 			if err != nil {
 				return fmt.Errorf("scale matrix %s: %w", label, err)
 			}
-			if err := check(label, r, ref); err != nil {
+			if err := check(label, r); err != nil {
 				return err
 			}
 			if i == 0 || r.WallNs < best.WallNs {
@@ -636,11 +416,7 @@ func ScaleMatrix(nodes int, shardCounts, thresholds []int, dur sim.Duration) ([]
 	for _, s := range shardCounts {
 		opts := base
 		opts.Shards = s
-		if err := run(fmt.Sprintf("s%d_cons", s), opts, &refCons); err != nil {
-			return nil, err
-		}
-		opts.Speculate = true
-		if err := run(fmt.Sprintf("s%d_spec", s), opts, &refSpec); err != nil {
+		if err := run(fmt.Sprintf("s%d", s), opts); err != nil {
 			return nil, err
 		}
 	}
@@ -650,7 +426,7 @@ func ScaleMatrix(nodes int, shardCounts, thresholds []int, dur sim.Duration) ([]
 			opts := base
 			opts.Shards = s
 			opts.ParallelThreshold = thr
-			if err := run(fmt.Sprintf("thr%d", thr), opts, &refCons); err != nil {
+			if err := run(fmt.Sprintf("thr%d", thr), opts); err != nil {
 				return nil, err
 			}
 		}
@@ -661,14 +437,13 @@ func ScaleMatrix(nodes int, shardCounts, thresholds []int, dur sim.Duration) ([]
 // RenderScaleMatrix formats the matrix in the usual experiment-table shape.
 func RenderScaleMatrix(nodes int, pts []MatrixPoint) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Multi-core scale matrix at %d nodes: shards x {conservative, speculative}\n", nodes)
-	fmt.Fprintf(&b, "%-10s  %6s  %4s  %12s  %10s  %10s  %8s  %8s  %9s  %10s\n",
-		"cell", "shards", "thr", "events", "delivered", "mon ticks", "commits", "rollbk", "hmean ns", "wall ms")
+	fmt.Fprintf(&b, "Multi-core scale matrix at %d nodes: shard counts x dispatch thresholds\n", nodes)
+	fmt.Fprintf(&b, "%-10s  %6s  %4s  %12s  %10s  %10s\n",
+		"cell", "shards", "thr", "events", "delivered", "wall ms")
 	for _, p := range pts {
 		r := p.Result
-		fmt.Fprintf(&b, "%-10s  %6d  %4d  %12d  %10d  %10d  %8d  %8d  %9d  %10.1f\n",
-			p.Label, r.Shards, r.Threshold, r.Events, r.Delivered,
-			r.MonitorTicks, r.SpecCommits, r.SpecRollbacks, int64(r.HorizonMean), float64(r.WallNs)/1e6)
+		fmt.Fprintf(&b, "%-10s  %6d  %4d  %12d  %10d  %10.1f\n",
+			p.Label, r.Shards, r.Threshold, r.Events, r.Delivered, float64(r.WallNs)/1e6)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -49,57 +50,6 @@ func TestScaleShort(t *testing.T) {
 	}
 }
 
-// TestScaleShortSpec is the `make scale-short` speculative variant: the
-// same trial with the per-leaf monitor ring attached and speculation armed,
-// across one and four executors under the race detector. Speculation must
-// actually engage (spans commit AND roll back), and the schedule — node
-// traffic, monitor ticks, speculation decisions — must stay executor-count
-// invariant.
-func TestScaleShortSpec(t *testing.T) {
-	specOpts := func(shards int) ScaleOptions {
-		o := shortOpts(shards)
-		o.Monitors = true
-		o.Speculate = true
-		o.SpecHorizon = sim.Microsecond
-		return o
-	}
-	one, err := RunScale(specOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := RunScale(specOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.SpecCommits == 0 || one.SpecRollbacks == 0 {
-		t.Fatalf("speculation did not exercise both outcomes: commits=%d rollbacks=%d",
-			one.SpecCommits, one.SpecRollbacks)
-	}
-	for _, r := range []ScaleResult{one, four} {
-		if r.Sent == 0 || r.Delivered != r.Sent {
-			t.Fatalf("shards=%d: delivered %d of %d accepted sends", r.Shards, r.Delivered, r.Sent)
-		}
-		if r.Recovered != 8 {
-			t.Fatalf("shards=%d: %d of 8 hung nodes completed recovery", r.Shards, r.Recovered)
-		}
-	}
-	if one.Events != four.Events || one.Now != four.Now ||
-		one.MonitorTicks != four.MonitorTicks ||
-		one.SpecCommits != four.SpecCommits || one.SpecRollbacks != four.SpecRollbacks {
-		t.Fatalf("speculative schedules diverge between 1 and 4 executors:\n  1: %+v\n  4: %+v", one, four)
-	}
-	// The monitors ride along without perturbing the fabric schedule: node
-	// traffic counters must match the monitor-free trial exactly.
-	plain, err := RunScale(shortOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Sent != one.Sent || plain.Delivered != one.Delivered {
-		t.Fatalf("monitor ring perturbed node traffic: plain %d/%d vs monitored %d/%d",
-			plain.Sent, plain.Delivered, one.Sent, one.Delivered)
-	}
-}
-
 // TestScaleIncast exercises the congestion pattern end to end: every node
 // fires at node 0; the sink's domain serializes but nothing is lost.
 func TestScaleIncast(t *testing.T) {
@@ -117,6 +67,26 @@ func TestScaleIncast(t *testing.T) {
 	}
 	if r.Sent == 0 || r.Delivered != r.Sent {
 		t.Fatalf("delivered %d of %d accepted sends", r.Delivered, r.Sent)
+	}
+}
+
+// TestScaleMatrixSmall runs the multi-core matrix on a small cluster: one
+// cell per shard count plus a threshold cell, every one cross-checked
+// against the first on Sent, Delivered, Events and Now.
+func TestScaleMatrixSmall(t *testing.T) {
+	pts, err := ScaleMatrix(16, []int{1, 2}, []int{1}, 500*sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, p := range pts {
+		labels = append(labels, p.Label)
+		if p.Result.Events != pts[0].Result.Events {
+			t.Fatalf("cell %s: %d events, reference %d", p.Label, p.Result.Events, pts[0].Result.Events)
+		}
+	}
+	if got := strings.Join(labels, ","); got != "s1,s2,thr1" {
+		t.Fatalf("matrix cells = %s, want s1,s2,thr1", got)
 	}
 }
 

@@ -46,7 +46,7 @@ func Table1Exhaustive(seed uint64) (Table1Result, error) {
 }
 
 // Table1Sections runs the campaign against both MCP sections — the paper's
-// send_chunk plus the receive path it speculates about ("these results
+// send_chunk plus the receive path it only conjectures about ("these results
 // could be different if fault injection is carried out on some other
 // section of the code", §2). The two campaigns (golden run included) build
 // and run concurrently; each is deterministic in its own seed.

@@ -56,15 +56,13 @@ func (a *Attachment) Link() *Link { return a.link }
 func (a *Attachment) Send(pkt *Packet) {
 	l := a.link
 	eng := l.engs[a.end]
-	eng.SpecTouch(&l.tx[a.end].mark, &l.tx[a.end])
 	if !l.cross {
 		// One engine owns both sides of an intra-domain link, so the send
 		// path below writes the receiver-owned delivery ring directly.
-		eng.SpecTouch(&l.rx[a.end].mark, &l.rx[a.end])
 	}
 	if !l.up {
 		l.stats[a.end].Dropped++
-		pkt.ReleaseSpec(eng)
+		pkt.Release()
 		return
 	}
 	start := eng.Now()
@@ -84,7 +82,7 @@ func (a *Attachment) Send(pkt *Packet) {
 			st.Dropped++
 			st.FaultDropped++
 			eng.Tracef(l.name, "fault drop %v", pkt)
-			pkt.ReleaseSpec(eng)
+			pkt.Release()
 			return
 		}
 		if l.faults.CorruptProb > 0 && l.faultRNG[a.end].Float64() < l.faults.CorruptProb {
@@ -94,11 +92,11 @@ func (a *Attachment) Send(pkt *Packet) {
 				// staging SRAM): reseal so the link-level check passes and
 				// the corruption travels on undetected (Table 1 "Messages
 				// Corrupted").
-				pkt.SpecCorruptPayload(eng, bit, true)
+				pkt.CorruptPayload(bit, true)
 			} else {
 				// Wire-level bit flip on the sealed packet: the receiver's
 				// CRC check catches and drops it.
-				pkt.SpecCorruptPayload(eng, bit, false)
+				pkt.CorruptPayload(bit, false)
 			}
 			st.Corrupted++
 			eng.Tracef(l.name, "fault corrupt %v bit %d", pkt, bit)
@@ -141,22 +139,6 @@ type linkBoundary struct {
 	end int
 }
 
-// BoundaryTarget reports the domain direction end's packets flush into: the
-// receiving device's engine.
-func (b *linkBoundary) BoundaryTarget() *sim.Engine { return b.l.engs[1-b.end] }
-
-// EarliestPending reports the delivery time of the earliest parked packet in
-// this direction. Delivery times per direction are nondecreasing (FIFO
-// serialization plus a constant propagation delay), so the outbox head is
-// the minimum.
-func (b *linkBoundary) EarliestPending() sim.Time {
-	q := b.l.xq[b.end]
-	if len(q) == 0 {
-		return sim.Forever
-	}
-	return q[0].at
-}
-
 // FlushBoundary moves direction end's outbox into the receiver-owned
 // delivery ring and arms the receiver's drain event. Runs on the coordinator
 // between windows, so neither side's event code is concurrently active.
@@ -184,9 +166,6 @@ func (b *linkBoundary) FlushBoundary() {
 // wake for the next pending one. Runs on the receiving device's engine.
 func (l *Link) drainDeliveries(end int) {
 	eng := l.engs[1-end]
-	// Touch before the transient flags flip, so the first-touch checkpoint
-	// captures the quiescent between-callback shape.
-	eng.SpecTouch(&l.rx[end].mark, &l.rx[end])
 	l.delivWake[end] = nil
 	l.delivDraining[end] = true
 	now := eng.Now()
@@ -201,7 +180,7 @@ func (l *Link) drainDeliveries(end int) {
 		l.delivHead[end]++
 		if !l.up {
 			l.rxDropped[end]++
-			pkt.ReleaseSpec(eng)
+			pkt.Release()
 			continue
 		}
 		peer.dev.RecvPacket(pkt, peer)
@@ -307,91 +286,6 @@ type Link struct {
 	// a cross-domain link each direction gets an independent stream so the
 	// two sending domains never race on generator state.
 	faultRNG [2]*sim.RNG
-
-	// Speculation journaling (sim spec.go): per direction, the sender-owned
-	// state (serialization cursor, counters, fault RNG, outbox) and the
-	// receiver-owned state (delivery ring) checkpoint through separate savers,
-	// because on a cross-domain link they belong to different engines and
-	// their spans open and resolve independently.
-	tx [2]linkTxSide
-	rx [2]linkRxSide
-}
-
-// linkTxSide journals direction end's sender-owned state; its SpecTouch runs
-// on engs[end] at the top of Attachment.Send.
-type linkTxSide struct {
-	l      *Link
-	end    int
-	mark   uint64
-	shadow linkTxShadow
-}
-
-type linkTxShadow struct {
-	nextFree sim.Time
-	stats    LinkStats
-	rng      uint64
-	xq       []delivery
-	xnoted   bool
-}
-
-func (t *linkTxSide) SpecSave() {
-	l, end := t.l, t.end
-	t.shadow.nextFree = l.nextFree[end]
-	t.shadow.stats = l.stats[end]
-	if l.faultRNG[end] != nil {
-		t.shadow.rng = l.faultRNG[end].State()
-	}
-	t.shadow.xq = append(t.shadow.xq[:0], l.xq[end]...)
-	t.shadow.xnoted = l.xnoted[end]
-}
-
-func (t *linkTxSide) SpecRestore() {
-	l, end := t.l, t.end
-	l.nextFree[end] = t.shadow.nextFree
-	l.stats[end] = t.shadow.stats
-	if l.faultRNG[end] != nil {
-		l.faultRNG[end].Restore(t.shadow.rng)
-	}
-	for i := len(t.shadow.xq); i < len(l.xq[end]); i++ {
-		l.xq[end][i] = delivery{}
-	}
-	l.xq[end] = append(l.xq[end][:0], t.shadow.xq...)
-	l.xnoted[end] = t.shadow.xnoted
-}
-
-// linkRxSide journals direction end's receiver-owned delivery ring; its
-// SpecTouch runs on engs[1-end] (drainDeliveries, and Send on intra-domain
-// links, where both sides share one engine).
-type linkRxSide struct {
-	l      *Link
-	end    int
-	mark   uint64
-	shadow linkRxShadow
-}
-
-type linkRxShadow struct {
-	deliv     []delivery
-	wake      *sim.Event
-	rxDropped uint64
-}
-
-func (r *linkRxSide) SpecSave() {
-	l, end := r.l, r.end
-	r.shadow.deliv = append(r.shadow.deliv[:0], l.deliv[end][l.delivHead[end]:]...)
-	r.shadow.wake = l.delivWake[end]
-	r.shadow.rxDropped = l.rxDropped[end]
-}
-
-func (r *linkRxSide) SpecRestore() {
-	l, end := r.l, r.end
-	for i := len(r.shadow.deliv); i < len(l.deliv[end]); i++ {
-		l.deliv[end][i] = delivery{}
-	}
-	l.deliv[end] = append(l.deliv[end][:0], r.shadow.deliv...)
-	l.delivHead[end] = 0
-	l.delivWake[end] = r.shadow.wake
-	l.delivDraining[end] = false
-	l.rxDropped[end] = r.shadow.rxDropped
 }
 
 // NewLink creates a link between devices a and b and returns it. Attachment
@@ -419,10 +313,6 @@ func NewLinkEngines(ea, eb *sim.Engine, cfg LinkConfig, a, b Device) *Link {
 	l.drainFns[1] = func() { l.drainDeliveries(1) }
 	l.xb[0] = linkBoundary{l: l, end: 0}
 	l.xb[1] = linkBoundary{l: l, end: 1}
-	l.tx[0] = linkTxSide{l: l, end: 0}
-	l.tx[1] = linkTxSide{l: l, end: 1}
-	l.rx[0] = linkRxSide{l: l, end: 0}
-	l.rx[1] = linkRxSide{l: l, end: 1}
 	if l.cross {
 		if cfg.PropDelay <= 0 {
 			panic(fmt.Sprintf("fabric: cross-domain link %s needs a positive PropDelay lookahead", l.name))

@@ -52,82 +52,6 @@ type Packet struct {
 	live     bool
 	buf      []byte
 	routeBuf [16]byte
-
-	// Speculation journaling (sim spec.go): first-touch shadow of the header
-	// fields a speculative span may mutate in place (route advance at
-	// switches, CRC reseal on injected corruption, injection stamps). Payload
-	// *content* is never shadowed: in-flight damage is undone by the
-	// self-inverse XOR record of SpecCorruptPayload, and construction-time
-	// writes only happen on packets the span itself checked out, which a
-	// rollback releases wholesale.
-	specMark uint64
-	shadow   pktShadow
-}
-
-// pktShadow holds the restore image for Packet.SpecSave/SpecRestore. Slice
-// fields copy only the header (pointer/len/cap), not the bytes.
-type pktShadow struct {
-	route    []byte
-	payload  []byte
-	crc      uint32
-	id       uint64
-	srcLabel string
-	injected sim.Time
-	crcValid bool
-}
-
-// SpecTouch journals this packet into eng's current speculative span on
-// first touch. Call before mutating a packet that may predate the span (the
-// switch's route advance, the MCP's injection stamp on a parked packet).
-func (p *Packet) SpecTouch(eng *sim.Engine) { eng.SpecTouch(&p.specMark, p) }
-
-// SpecSave / SpecRestore implement sim.SpecSaver.
-func (p *Packet) SpecSave() {
-	p.shadow = pktShadow{
-		route:    p.Route,
-		payload:  p.Payload,
-		crc:      p.CRC,
-		id:       p.ID,
-		srcLabel: p.SrcLabel,
-		injected: p.Injected,
-		crcValid: p.crcValid,
-	}
-}
-
-// SpecRestore rewinds the header fields. Pool liveness is deliberately not
-// restored here: checkouts and releases are journaled by GetPacketSpec and
-// ReleaseSpec (pool.go) so ownership rewinds through the span journal, never
-// through a component checkpoint.
-func (p *Packet) SpecRestore() {
-	p.Route = p.shadow.route
-	p.Payload = p.shadow.payload
-	p.CRC = p.shadow.crc
-	p.ID = p.shadow.id
-	p.SrcLabel = p.shadow.srcLabel
-	p.Injected = p.shadow.injected
-	p.crcValid = p.shadow.crcValid
-}
-
-// SpecCorruptPayload is CorruptPayload with span journaling: the bit flip is
-// undone by a self-inverse XOR record and the CRC/crcValid damage by the
-// first-touch header shadow. Replayed newest-first, the XOR runs before the
-// header restore, so both orders of capture rewind correctly.
-func (p *Packet) SpecCorruptPayload(eng *sim.Engine, bit int, reseal bool) {
-	if len(p.Payload) == 0 {
-		return
-	}
-	p.SpecTouch(eng)
-	eng.SpecUndo(pktUndoXOR, p, nil, uint64(bit), 0)
-	p.CorruptPayload(bit, reseal)
-}
-
-func pktUndoXOR(a, b any, v1, v2 uint64) {
-	p := a.(*Packet)
-	if len(p.Payload) == 0 {
-		return
-	}
-	idx := (int(v1) / 8) % len(p.Payload)
-	p.Payload[idx] ^= 1 << (v1 % 8)
 }
 
 // HeaderBytes is the fixed per-packet framing overhead on the wire beyond

@@ -3,8 +3,6 @@ package fabric
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
 // Packet pooling. The data path checks packets out of a process-wide arena,
@@ -75,31 +73,6 @@ func GetPacket() *Packet {
 	return p
 }
 
-// GetPacketSpec is GetPacket with span journaling: inside a speculative span
-// the checkout gets an undo record, so a rollback returns the packet to the
-// arena (the rewound component state never saw it). Outside a span it is
-// exactly GetPacket.
-func GetPacketSpec(eng *sim.Engine) *Packet {
-	p := GetPacket()
-	if eng.SpecActive() {
-		eng.SpecUndo(pktUndoCheckout, p, nil, 0, 0)
-	}
-	return p
-}
-
-func pktUndoCheckout(a, b any, v1, v2 uint64) { a.(*Packet).Release() }
-
-// ReleaseSpec is Release deferred to span commit: inside a speculative span
-// the packet must stay intact until the span is known to stand, because a
-// rollback rewinds rings and windows that still own it. Outside a span the
-// release runs immediately. Every release site reachable from speculating
-// domain event code must use this instead of Release.
-func (p *Packet) ReleaseSpec(eng *sim.Engine) {
-	eng.SpecOnCommit(pktCommitRelease, p, nil, 0, 0)
-}
-
-func pktCommitRelease(a, b any, v1, v2 uint64) { a.(*Packet).Release() }
-
 // Release returns a pooled packet to the arena. On packets not from the
 // arena it is a no-op; releasing a pooled packet twice panics.
 func (p *Packet) Release() {
@@ -117,11 +90,6 @@ func (p *Packet) Release() {
 	p.SrcLabel = ""
 	p.Injected = 0
 	p.crcValid = false
-	// The touch-epoch must not survive the arena: span ids are per-engine
-	// counters, so a recycled packet carrying a mark from a previous run (or
-	// a previous engine in the same process) can collide with a live span id,
-	// falsely dedupe SpecTouch, and skip the header shadow a rollback needs.
-	p.specMark = 0
 	poolReleases.Add(1)
 	poolLive.Add(-1)
 	pktPool.Put(p)

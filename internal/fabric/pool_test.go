@@ -68,7 +68,6 @@ func TestReleaseClearsState(t *testing.T) {
 	p.SealCRC()
 	p.ID = 42
 	p.SrcLabel = "x"
-	p.specMark = 7 // pretend a speculative span touched it
 	p.Release()
 
 	q := GetPacket() // likely the same object back from the pool
@@ -78,14 +77,6 @@ func TestReleaseClearsState(t *testing.T) {
 	}
 	if q.crcValid {
 		t.Fatalf("reacquired packet has a cached CRC verdict")
-	}
-	// The touch epoch must die with the release: span ids are per-engine
-	// counters, so a stale mark from one engine can collide with a live span
-	// id in another and falsely dedupe the SpecTouch that saves the header
-	// shadow a rollback needs (this made back-to-back speculative runs in
-	// one process diverge from a fresh-process run of the same config).
-	if q.specMark != 0 {
-		t.Fatalf("reacquired packet carries a touch epoch: %d", q.specMark)
 	}
 }
 

@@ -46,38 +46,6 @@ type Switch struct {
 	fwdDraining bool
 	fwdDrainFn  func() // cached; arming a drain must not allocate
 
-	// Speculation journaling (sim spec.go): first-touch checkpoint of the
-	// forwarding ring and counters. dead is excluded — SetPortDead is
-	// control-plane, and control code never runs with a span open.
-	specMark uint64
-	shadow   switchShadow
-}
-
-// switchShadow is the restore image for Switch.SpecSave/SpecRestore.
-type switchShadow struct {
-	stats SwitchStats
-	fwdQ  []swFwd
-	wake  *sim.Event
-}
-
-// SpecSave / SpecRestore implement sim.SpecSaver: live-region copy of the
-// forwarding ring, rebuilt canonically (head 0) on rollback. Slot positions
-// inside the array are unobservable, so the rebuild is bit-for-bit safe.
-func (s *Switch) SpecSave() {
-	s.shadow.stats = s.stats
-	s.shadow.fwdQ = append(s.shadow.fwdQ[:0], s.fwdQ[s.fwdHead:]...)
-	s.shadow.wake = s.fwdWake
-}
-
-func (s *Switch) SpecRestore() {
-	s.stats = s.shadow.stats
-	for i := len(s.shadow.fwdQ); i < len(s.fwdQ); i++ {
-		s.fwdQ[i] = swFwd{}
-	}
-	s.fwdQ = append(s.fwdQ[:0], s.shadow.fwdQ...)
-	s.fwdHead = 0
-	s.fwdWake = s.shadow.wake
-	s.fwdDraining = false
 }
 
 // NewSwitch creates a switch with cfg.Ports empty ports.
@@ -162,19 +130,18 @@ func (s *Switch) PortFor(a *Attachment) int {
 // switches likewise discard packets routed into dead links, and it is the
 // mapper's job to avoid such routes.
 func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
-	s.eng.SpecTouch(&s.specMark, s)
 	if len(pkt.Route) == 0 {
 		s.stats.DroppedNoPort++
 		if s.eng.TraceEnabled() {
 			s.eng.Tracef(s.name, "drop %v: route exhausted at switch", pkt)
 		}
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
 	in := s.PortFor(on)
 	if in < 0 {
 		s.stats.DroppedNoPort++
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
 	if s.dead[in] {
@@ -182,10 +149,9 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 		if s.eng.TraceEnabled() {
 			s.eng.Tracef(s.name, "drop %v: input port %d dead", pkt, in)
 		}
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
-	pkt.SpecTouch(s.eng)
 	delta := int(int8(pkt.Route[0]))
 	pkt.Route = pkt.Route[1:]
 	out := (in + delta%len(s.ports) + len(s.ports)) % len(s.ports)
@@ -194,7 +160,7 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 		if s.eng.TraceEnabled() {
 			s.eng.Tracef(s.name, "drop %v: no port %d", pkt, out)
 		}
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
 	if s.dead[out] {
@@ -202,7 +168,7 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 		if s.eng.TraceEnabled() {
 			s.eng.Tracef(s.name, "drop %v: port %d dead", pkt, out)
 		}
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
 	dst := s.ports[out]
@@ -211,7 +177,7 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 		if s.eng.TraceEnabled() {
 			s.eng.Tracef(s.name, "drop %v: port %d link down", pkt, out)
 		}
-		pkt.ReleaseSpec(s.eng)
+		pkt.Release()
 		return
 	}
 	s.stats.Forwarded++
@@ -231,9 +197,6 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 // drainForwards emits every due queued forward and re-arms a wake for the
 // next pending one.
 func (s *Switch) drainForwards() {
-	// Touch before the transient flags flip, so the first-touch checkpoint
-	// captures the quiescent between-callback shape.
-	s.eng.SpecTouch(&s.specMark, s)
 	s.fwdWake = nil
 	s.fwdDraining = true
 	now := s.eng.Now()

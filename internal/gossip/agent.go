@@ -201,10 +201,6 @@ type Agent struct {
 	started bool
 	stopped bool
 	stats   Stats
-
-	// Speculation journaling (gossip spec.go).
-	specMark uint64
-	shadow   agentShadow
 }
 
 // New builds an agent on the node's event domain. The seed must be a pure
@@ -262,14 +258,12 @@ func (a *Agent) Start() {
 	if a.started || len(a.ring) == 0 {
 		return
 	}
-	a.specTouch()
 	a.started = true
 	a.eng.AfterLabel(a.rng.Duration(a.cfg.ProbeInterval), "gossip-round", a.tick)
 }
 
 // Stop quiesces the agent: timers still fire but do nothing.
 func (a *Agent) Stop() {
-	a.specTouch()
 	a.stopped = true
 }
 
@@ -317,7 +311,6 @@ func (a *Agent) SuspectPath(about gmproto.NodeID) {
 	if m == nil || m.state == StateDead {
 		return
 	}
-	a.specTouch()
 	a.stats.PathSuspicions++
 	a.paths[about] = &pathUpdate{p: PathSuspicion{From: a.self, About: about}, left: a.cfg.RetransmitMult}
 	a.probe(about, false)
@@ -329,7 +322,6 @@ func (a *Agent) tick() {
 	if a.stopped {
 		return
 	}
-	a.specTouch()
 	// Round-robin over the ring, skipping dead members and targets with a
 	// probe already in flight.
 	for i := 0; i < len(a.ring); i++ {
@@ -365,7 +357,6 @@ func (a *Agent) probeTimeout(s uint32) {
 	if p == nil || a.stopped {
 		return
 	}
-	a.specTouch()
 	if !p.indirect && !p.dead && a.cfg.IndirectProbes > 0 {
 		// Escalate: ask the next live ring members to probe on our behalf
 		// (one bad path must not condemn a live peer).
@@ -435,7 +426,6 @@ func (a *Agent) checkSuspicion(target gmproto.NodeID) {
 	if a.stopped {
 		return
 	}
-	a.specTouch()
 	m := a.members[target]
 	if m == nil || m.state != StateSuspect {
 		return
@@ -514,7 +504,6 @@ func (a *Agent) scheduleDeadProbe() {
 	}
 	a.deadProbe = true
 	a.eng.AfterLabel(a.cfg.DeadProbeInterval, "gossip-dead-probe", func() {
-		a.specTouch()
 		a.deadProbe = false
 		if a.stopped {
 			return
@@ -545,7 +534,6 @@ func (a *Agent) HandlePacket(payload []byte) {
 	if err != nil {
 		return
 	}
-	a.specTouch()
 	a.heardFrom(msg.From, msg.FromInc)
 	for _, d := range msg.Deltas {
 		a.applyDelta(d)
@@ -583,7 +571,6 @@ func (a *Agent) HandlePacket(payload []byte) {
 		a.relays[rseq] = relayEntry{origin: msg.From, origSeq: msg.Seq, target: msg.Target}
 		a.sendTo(msg.Target, &Message{Type: MsgPing, Seq: rseq})
 		a.eng.AfterLabel(2*a.cfg.ProbeTimeout, "gossip-relay-gc", func() {
-			a.specTouch()
 			delete(a.relays, rseq)
 		})
 	}

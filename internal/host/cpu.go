@@ -14,35 +14,6 @@ type CPUAccount struct {
 	sendBusy  sim.Duration
 	recvBusy  sim.Duration
 	otherBusy sim.Duration
-
-	// Speculation journaling (sim spec.go). The account has no engine of its
-	// own, so the owning library code calls SpecTouch before charging.
-	specMark uint64
-	shadow   cpuShadow
-}
-
-type cpuShadow struct {
-	busy      sim.Duration
-	sends     uint64
-	recvs     uint64
-	sendBusy  sim.Duration
-	recvBusy  sim.Duration
-	otherBusy sim.Duration
-}
-
-// SpecTouch journals the account into eng's current span on first touch.
-// Call before ChargeSend/ChargeRecv/Charge from speculating domain code.
-func (c *CPUAccount) SpecTouch(eng *sim.Engine) { eng.SpecTouch(&c.specMark, c) }
-
-// SpecSave / SpecRestore implement sim.SpecSaver.
-func (c *CPUAccount) SpecSave() {
-	c.shadow = cpuShadow{busy: c.busy, sends: c.sends, recvs: c.recvs,
-		sendBusy: c.sendBusy, recvBusy: c.recvBusy, otherBusy: c.otherBusy}
-}
-
-func (c *CPUAccount) SpecRestore() {
-	c.busy, c.sends, c.recvs = c.shadow.busy, c.shadow.sends, c.shadow.recvs
-	c.sendBusy, c.recvBusy, c.otherBusy = c.shadow.sendBusy, c.shadow.recvBusy, c.shadow.otherBusy
 }
 
 // ChargeSend records host-CPU time spent posting a send.

@@ -3,8 +3,6 @@ package host
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // PageSize is the host page size used for pinning (4 KB, as on the paper's
@@ -40,38 +38,6 @@ type pageKey struct {
 type PageTable struct {
 	entries map[pageKey]PageEntry
 	nextDMA DMAHandle
-
-	// Speculation journaling (sim spec.go). Pin/unpin traffic is port
-	// open/close and recovery — rare relative to spans — so a whole-map
-	// first-touch copy is cheaper than per-entry records would be worth.
-	specMark   uint64
-	shadow     map[pageKey]PageEntry
-	shadowNext DMAHandle
-}
-
-// SpecTouch journals the table into eng's current span on first touch. Call
-// before Pin/PinRange/UnpinPort from speculating domain code.
-func (t *PageTable) SpecTouch(eng *sim.Engine) { eng.SpecTouch(&t.specMark, t) }
-
-// SpecSave / SpecRestore implement sim.SpecSaver.
-func (t *PageTable) SpecSave() {
-	if t.shadow == nil {
-		t.shadow = make(map[pageKey]PageEntry, len(t.entries))
-	} else {
-		clear(t.shadow)
-	}
-	for k, v := range t.entries {
-		t.shadow[k] = v
-	}
-	t.shadowNext = t.nextDMA
-}
-
-func (t *PageTable) SpecRestore() {
-	clear(t.entries)
-	for k, v := range t.shadow {
-		t.entries[k] = v
-	}
-	t.nextDMA = t.shadowNext
 }
 
 // NewPageTable returns an empty table.

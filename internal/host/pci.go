@@ -61,39 +61,6 @@ type PCIBus struct {
 	doneDraining bool
 	drainFn      func() // cached; arming a drain must not allocate
 
-	// Speculation journaling (sim spec.go): first-touch checkpoint of the
-	// serialization cursor, counters and completion ring.
-	specMark uint64
-	shadow   pciShadow
-}
-
-// pciShadow is the restore image for PCIBus.SpecSave/SpecRestore.
-type pciShadow struct {
-	nextFree sim.Time
-	stats    PCIStats
-	doneQ    []pciDone
-	wake     *sim.Event
-}
-
-// SpecSave / SpecRestore implement sim.SpecSaver: live-region copy of the
-// completion ring, rebuilt canonically (head 0) on rollback.
-func (b *PCIBus) SpecSave() {
-	b.shadow.nextFree = b.nextFree
-	b.shadow.stats = b.stats
-	b.shadow.doneQ = append(b.shadow.doneQ[:0], b.doneQ[b.doneHead:]...)
-	b.shadow.wake = b.doneWake
-}
-
-func (b *PCIBus) SpecRestore() {
-	b.nextFree = b.shadow.nextFree
-	b.stats = b.shadow.stats
-	for i := len(b.shadow.doneQ); i < len(b.doneQ); i++ {
-		b.doneQ[i] = pciDone{}
-	}
-	b.doneQ = append(b.doneQ[:0], b.shadow.doneQ...)
-	b.doneHead = 0
-	b.doneWake = b.shadow.wake
-	b.doneDraining = false
 }
 
 // pciDone is one pending transfer completion.
@@ -124,7 +91,6 @@ func (b *PCIBus) TransferTime(n int) sim.Duration {
 // transaction serializes behind earlier ones; the returned time is when the
 // transfer will finish.
 func (b *PCIBus) Transfer(n int, done func()) sim.Time {
-	b.eng.SpecTouch(&b.specMark, b)
 	start := b.eng.Now()
 	if b.nextFree > start {
 		start = b.nextFree
@@ -151,9 +117,6 @@ func (b *PCIBus) Transfer(n int, done func()) sim.Time {
 // drainDone runs every due completion and re-arms a wake for the next
 // pending one.
 func (b *PCIBus) drainDone() {
-	// Touch before the transient flags flip, so the first-touch checkpoint
-	// captures the quiescent between-callback shape.
-	b.eng.SpecTouch(&b.specMark, b)
 	b.doneWake = nil
 	b.doneDraining = true
 	now := b.eng.Now()

@@ -127,114 +127,6 @@ type Chip struct {
 	stats       Stats
 	onHung      func()
 	powerCycled bool
-
-	// Speculation journaling (sim spec.go): one first-touch checkpoint covers
-	// every register, timer, ring and counter above; SRAM words are journaled
-	// individually (WriteWord undo records) since a checkpoint of the full
-	// megabyte per span would defeat the incremental journal.
-	specMark uint64
-	shadow   chipShadow
-}
-
-// chipShadow is the restore image for Chip.SpecSave/SpecRestore.
-type chipShadow struct {
-	isr, imr    uint32
-	timers      [NumTimers]timerShadow
-	running     bool
-	hung        bool
-	killed      bool
-	powerCycled bool
-	dmaBusy     bool
-	epoch       uint64
-	execFree    sim.Time
-	stats       Stats
-	execQ       []execItem
-	execWake    *sim.Event
-	dmaQ        []dmaReq
-	dmaEpochQ   []uint64
-	recvRing    []*fabric.Packet
-}
-
-type timerShadow struct {
-	event   *sim.Event
-	armedAt sim.Time
-	ticks   uint32
-}
-
-// specTouch journals the chip into the current span on first touch; every
-// mutating method calls it before its first write.
-func (c *Chip) specTouch() { c.eng.SpecTouch(&c.specMark, c) }
-
-// SpecSave / SpecRestore implement sim.SpecSaver: live-region copies of the
-// processor, DMA and receive rings, rebuilt canonically (head 0) on
-// rollback. Event handles are revived by the engine's own rollback, so
-// re-pointing at saved handles is always safe.
-func (c *Chip) SpecSave() {
-	s := &c.shadow
-	s.isr, s.imr = c.isr, c.imr
-	for i := range c.timers {
-		t := &c.timers[i]
-		s.timers[i] = timerShadow{event: t.event, armedAt: t.armedAt, ticks: t.ticks}
-	}
-	s.running, s.hung, s.killed, s.powerCycled = c.running, c.hung, c.killed, c.powerCycled
-	s.dmaBusy = c.dmaBusy
-	s.epoch = c.epoch
-	s.execFree = c.execFree
-	s.stats = c.stats
-	s.execQ = append(s.execQ[:0], c.execQ[c.execHead:]...)
-	s.execWake = c.execWake
-	s.dmaQ = append(s.dmaQ[:0], c.dmaQ[c.dmaHead:]...)
-	s.dmaEpochQ = append(s.dmaEpochQ[:0], c.dmaEpochQ[c.dmaEpochHead:]...)
-	s.recvRing = append(s.recvRing[:0], c.recvRing[c.recvHead:]...)
-}
-
-func (c *Chip) SpecRestore() {
-	s := &c.shadow
-	c.isr, c.imr = s.isr, s.imr
-	for i := range c.timers {
-		t := &c.timers[i]
-		t.event, t.armedAt, t.ticks = s.timers[i].event, s.timers[i].armedAt, s.timers[i].ticks
-	}
-	c.running, c.hung, c.killed, c.powerCycled = s.running, s.hung, s.killed, s.powerCycled
-	c.dmaBusy = s.dmaBusy
-	c.epoch = s.epoch
-	c.execFree = s.execFree
-	c.stats = s.stats
-	for i := len(s.execQ); i < len(c.execQ); i++ {
-		c.execQ[i] = execItem{}
-	}
-	c.execQ = append(c.execQ[:0], s.execQ...)
-	c.execHead = 0
-	c.execWake = s.execWake
-	c.execDraining = false
-	for i := len(s.dmaQ); i < len(c.dmaQ); i++ {
-		c.dmaQ[i] = dmaReq{}
-	}
-	c.dmaQ = append(c.dmaQ[:0], s.dmaQ...)
-	c.dmaHead = 0
-	for i := len(s.dmaEpochQ); i < len(c.dmaEpochQ); i++ {
-		c.dmaEpochQ[i] = 0
-	}
-	c.dmaEpochQ = append(c.dmaEpochQ[:0], s.dmaEpochQ...)
-	c.dmaEpochHead = 0
-	for i := len(s.recvRing); i < len(c.recvRing); i++ {
-		c.recvRing[i] = nil
-	}
-	c.recvRing = append(c.recvRing[:0], s.recvRing...)
-	c.recvHead = 0
-}
-
-func sramUndoWrite(a, b any, v1, v2 uint64) {
-	c := a.(*Chip)
-	addr, v := uint32(v1), uint32(v2)
-	c.SRAM[addr] = byte(v)
-	c.SRAM[addr+1] = byte(v >> 8)
-	c.SRAM[addr+2] = byte(v >> 16)
-	c.SRAM[addr+3] = byte(v >> 24)
-}
-
-func sramUndoClear(a, b any, v1, v2 uint64) {
-	copy(a.(*Chip).SRAM, b.([]byte))
 }
 
 type dmaReq struct {
@@ -263,7 +155,6 @@ func New(eng *sim.Engine, name string, cfg Config, pci *host.PCIBus) *Chip {
 		t := &c.timers[i]
 		bit := ISRTimer0 << uint(i)
 		t.fireFn = func() {
-			c.specTouch()
 			t.event = nil
 			c.RaiseISR(bit)
 		}
@@ -306,7 +197,6 @@ func (c *Chip) Start() {
 	if c.killed {
 		return
 	}
-	c.specTouch()
 	c.running = true
 	c.hung = false
 	c.execFree = c.eng.Now()
@@ -317,7 +207,6 @@ func (c *Chip) Start() {
 // Cluster shutdown uses this to drain in-flight traffic with the guarantee
 // that nothing new is injected.
 func (c *Chip) Kill() {
-	c.specTouch()
 	c.killed = true
 	c.Reset()
 }
@@ -330,7 +219,6 @@ func (c *Chip) Hang() {
 	if !c.running {
 		return
 	}
-	c.specTouch()
 	c.running = false
 	c.hung = true
 	c.epoch++
@@ -348,7 +236,6 @@ func (c *Chip) SetOnHung(fn func()) { c.onHung = fn }
 // fire. Rare, and the reason the paper's detection assumption "cannot be
 // proved correct".
 func (c *Chip) HardHang() {
-	c.specTouch()
 	c.Hang()
 	for i := range c.timers {
 		if c.timers[i].event != nil {
@@ -364,7 +251,6 @@ func (c *Chip) HardHang() {
 // buffered packets are lost. SRAM contents are *not* cleared by the reset
 // itself; the FTD clears SRAM and reloads the MCP explicitly (§4.3).
 func (c *Chip) Reset() {
-	c.specTouch()
 	c.running = false
 	c.hung = false
 	c.epoch++
@@ -383,7 +269,7 @@ func (c *Chip) Reset() {
 	c.dmaQ = c.dmaQ[:0]
 	c.dmaHead = 0
 	for i := c.recvHead; i < len(c.recvRing); i++ {
-		c.recvRing[i].ReleaseSpec(c.eng)
+		c.recvRing[i].Release()
 		c.recvRing[i] = nil
 	}
 	c.recvRing = c.recvRing[:0]
@@ -395,13 +281,6 @@ func (c *Chip) Reset() {
 
 // ClearSRAM zeroes local memory (FTD recovery step).
 func (c *Chip) ClearSRAM() {
-	if c.eng.SpecActive() {
-		// Rare path (FTD recovery): journal a full copy rather than per-word
-		// records for a megabyte of zeroes.
-		saved := make([]byte, len(c.SRAM))
-		copy(saved, c.SRAM)
-		c.eng.SpecUndo(sramUndoClear, c, saved, 0, 0)
-	}
 	for i := range c.SRAM {
 		c.SRAM[i] = 0
 	}
@@ -415,7 +294,6 @@ func (c *Chip) ISR() uint32 { return c.isr }
 // RaiseISR sets an ISR bit, notifies the running control program, and
 // raises a host interrupt if the bit is unmasked in the IMR.
 func (c *Chip) RaiseISR(bit uint32) {
-	c.specTouch()
 	c.isr |= bit
 	if c.running && c.isrHandler != nil {
 		c.isrHandler(bit)
@@ -427,7 +305,6 @@ func (c *Chip) RaiseISR(bit uint32) {
 
 // AckISR clears ISR bits.
 func (c *Chip) AckISR(bits uint32) {
-	c.specTouch()
 	c.isr &^= bits
 }
 
@@ -436,7 +313,6 @@ func (c *Chip) IMR() uint32 { return c.imr }
 
 // SetIMR replaces the interrupt mask register.
 func (c *Chip) SetIMR(v uint32) {
-	c.specTouch()
 	c.imr = v
 }
 
@@ -445,7 +321,6 @@ func (c *Chip) SetIMR(v uint32) {
 // SetTimer arms interval timer i to expire after ticks 0.5 µs ticks,
 // replacing any previous deadline. Expiry raises the timer's ISR bit.
 func (c *Chip) SetTimer(i int, ticks uint32) {
-	c.specTouch()
 	t := &c.timers[i]
 	if t.event != nil {
 		t.event.Cancel()
@@ -457,7 +332,6 @@ func (c *Chip) SetTimer(i int, ticks uint32) {
 
 // StopTimer disarms interval timer i.
 func (c *Chip) StopTimer(i int) {
-	c.specTouch()
 	if c.timers[i].event != nil {
 		c.timers[i].event.Cancel()
 		c.timers[i].event = nil
@@ -482,7 +356,6 @@ func (c *Chip) Exec(cost sim.Duration, fn func()) {
 	if !c.running {
 		return
 	}
-	c.specTouch()
 	start := c.eng.Now()
 	if c.execFree > start {
 		start = c.execFree
@@ -505,9 +378,6 @@ func (c *Chip) Exec(cost sim.Duration, fn func()) {
 // in the same sweep when due now (the arming guard keeps them from
 // scheduling duplicate wakes mid-drain).
 func (c *Chip) drainExec() {
-	// Touch before the transient flags flip, so the first-touch checkpoint
-	// captures the quiescent between-callback shape.
-	c.specTouch()
 	c.execWake = nil
 	c.execDraining = true
 	now := c.eng.Now()
@@ -566,7 +436,6 @@ func (c *Chip) HostDMA(n int, done func()) {
 	if !c.running {
 		return
 	}
-	c.specTouch()
 	if c.dmaHead > 0 && c.dmaHead == len(c.dmaQ) {
 		c.dmaQ = c.dmaQ[:0]
 		c.dmaHead = 0
@@ -598,7 +467,6 @@ func (c *Chip) pumpDMA() {
 // before a reset pops a stale epoch and is ignored; the reset already
 // cleared the request queue it referred to.
 func (c *Chip) dmaComplete() {
-	c.specTouch()
 	epoch := c.dmaEpochQ[c.dmaEpochHead]
 	c.dmaEpochHead++
 	if epoch != c.epoch {
@@ -619,9 +487,8 @@ func (c *Chip) dmaComplete() {
 
 // TransmitPacket injects a packet onto the cabled link.
 func (c *Chip) TransmitPacket(pkt *fabric.Packet) {
-	c.specTouch()
 	if c.att == nil {
-		pkt.ReleaseSpec(c.eng)
+		pkt.Release()
 		return
 	}
 	c.stats.PacketsSent++
@@ -634,10 +501,9 @@ func (c *Chip) TransmitPacket(pkt *fabric.Packet) {
 // modeling the backpressured-then-timed-out fate of packets sent to a dead
 // interface.
 func (c *Chip) RecvPacket(pkt *fabric.Packet, on *fabric.Attachment) {
-	c.specTouch()
 	if !c.running || len(c.recvRing)-c.recvHead >= c.cfg.RecvRing {
 		c.stats.PacketsDropped++
-		pkt.ReleaseSpec(c.eng)
+		pkt.Release()
 		return
 	}
 	c.stats.PacketsReceived++
@@ -654,7 +520,6 @@ func (c *Chip) PopRecv() *fabric.Packet {
 	if c.recvHead == len(c.recvRing) {
 		return nil
 	}
-	c.specTouch()
 	pkt := c.recvRing[c.recvHead]
 	c.recvRing[c.recvHead] = nil
 	c.recvHead++
@@ -680,7 +545,6 @@ func (c *Chip) WriteWord(addr uint32, v uint32) {
 	if int(addr)+4 > len(c.SRAM) {
 		return
 	}
-	c.eng.SpecUndo(sramUndoWrite, c, nil, uint64(addr), uint64(c.ReadWord(addr)))
 	c.SRAM[addr] = byte(v)
 	c.SRAM[addr+1] = byte(v >> 8)
 	c.SRAM[addr+2] = byte(v >> 16)

@@ -39,8 +39,7 @@ func (m *MCP) RawTransmit(route []byte, payload []byte) {
 		// Exec would drop the callback; don't queue an orphan packet.
 		return
 	}
-	m.specTouch()
-	pkt := fabric.GetPacketSpec(m.eng)
+	pkt := fabric.GetPacket()
 	// Unlike the route table, the mapper reuses and mutates its route
 	// buffers, so this path copies instead of interning.
 	pkt.CopyRoute(route)
@@ -57,11 +56,9 @@ func (m *MCP) RawTransmit(route []byte, payload []byte) {
 
 // rawDispatch injects the oldest queued mapper packet.
 func (m *MCP) rawDispatch() {
-	m.specTouch()
 	pkt := m.rawQ[m.rawHead]
 	m.rawQ[m.rawHead] = nil
 	m.rawHead++
-	pkt.SpecTouch(m.eng)
 	pkt.Injected = m.eng.Now()
 	m.chip.TransmitPacket(pkt)
 }

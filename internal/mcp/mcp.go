@@ -122,10 +122,6 @@ type MCP struct {
 	// loaded marks that a control program is present (LoadAndStart ran
 	// after the last reset).
 	loaded bool
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   mcpShadow
 }
 
 type alarmReq struct {
@@ -205,10 +201,6 @@ type portState struct {
 	// freeze is consistent. ThawPort replays the queue in arrival order.
 	frozen  bool
 	frozenQ []deliverItem
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   portShadow
 }
 
 // New creates a control program for chip. It is inert until LoadAndStart.
@@ -247,7 +239,6 @@ func New(chip *lanai.Chip, cfg Config, mode Mode) *MCP {
 // svcDispatch runs the handler for the oldest decoded ring packet, then
 // continues draining the ring.
 func (m *MCP) svcDispatch() {
-	m.specTouch()
 	it := m.svcQ[m.svcHead]
 	m.svcQ[m.svcHead] = svcItem{}
 	m.svcHead++
@@ -272,22 +263,19 @@ func (m *MCP) svcDispatch() {
 // commitDispatch credits the oldest pending fragment DMA and tries to
 // commit its message.
 func (m *MCP) commitDispatch() {
-	m.specTouch()
 	it := m.commitQ[m.commitHead]
 	m.commitQ[m.commitHead] = dmaCommit{}
 	m.commitHead++
-	m.touchPartial(it.p)
 	it.p.dmaDone += it.n
 	m.maybeCommit(it.ps, it.rs, it.id, it.p)
 }
 
 // ctrlDispatch builds and injects the oldest queued ACK/NACK.
 func (m *MCP) ctrlDispatch() {
-	m.specTouch()
 	it := m.ctrlQ[m.ctrlHead]
 	m.ctrlQ[m.ctrlHead] = ctrlItem{}
 	m.ctrlHead++
-	pkt := fabric.GetPacketSpec(m.eng)
+	pkt := fabric.GetPacket()
 	pkt.Route = it.route // interned: see injectFrag
 	pkt.SrcLabel = m.chip.Name()
 	pkt.Injected = m.eng.Now()
@@ -303,7 +291,6 @@ func (m *MCP) ctrlDispatch() {
 
 // evDispatch hands the oldest DMAed event record to its host sink.
 func (m *MCP) evDispatch() {
-	m.specTouch()
 	it := m.evQ[m.evHead]
 	m.evQ[m.evHead] = evItem{}
 	m.evHead++
@@ -314,14 +301,12 @@ func (m *MCP) evDispatch() {
 // processor slot fires: directed deposits commit silently, stock GM posts
 // the receive event, FTGM first DMAs the event record to the host queue.
 func (m *MCP) deliverDispatch() {
-	m.specTouch()
 	it := m.deliverQ[m.deliverHead]
 	m.deliverQ[m.deliverHead] = deliverItem{}
 	m.deliverHead++
 	if it.ps.frozen {
 		// Bounded-drain freeze: park ahead of the commit point. The item
 		// is unacknowledged, so the sender's window still owns it.
-		m.touchPort(it.ps)
 		it.ps.frozenQ = append(it.ps.frozenQ, it)
 		return
 	}
@@ -331,7 +316,6 @@ func (m *MCP) deliverDispatch() {
 // deliverBody is the committed-delivery tail shared by the live dispatch
 // path and ThawPort's replay of parked items.
 func (m *MCP) deliverBody(it deliverItem) {
-	m.touchRx(it.rs)
 	if it.directed {
 		// Deposit complete: the receiver process is not notified (GM's
 		// directed-send semantics). Stock GM commits the sequence number
@@ -370,11 +354,9 @@ func (m *MCP) deliverBody(it deliverItem) {
 // memory. Delayed commit point: the ACK leaves only after the message and
 // its event are in host memory (§4.1).
 func (m *MCP) edmaDispatch() {
-	m.specTouch()
 	it := m.edmaQ[m.edmaHead]
 	m.edmaQ[m.edmaHead] = deliverItem{}
 	m.edmaHead++
-	m.touchRx(it.rs)
 	if it.ps.sink != nil {
 		it.ps.sink(it.ev)
 	}
@@ -396,9 +378,6 @@ func (m *MCP) getTxMsg() *txMsg {
 		msg := m.msgPool[n-1]
 		m.msgPool[n-1] = nil
 		m.msgPool = m.msgPool[:n-1]
-		// Touch before the caller writes fields: the first-touch image must
-		// be the zeroed pool state a rollback returns the record to.
-		m.touchMsg(msg)
 		return msg
 	}
 	return &txMsg{}
@@ -408,11 +387,7 @@ func (m *MCP) freeTxMsg(s *txStream, msg *txMsg) {
 	if msg.sending || msg == s.cur {
 		return
 	}
-	// Field-wise zero: a whole-struct clear would wipe the record's spec
-	// mark and shadow, which the open span may still need for rollback.
-	m.touchMsg(msg)
-	msg.tok, msg.seq, msg.msgID = gmproto.SendToken{}, 0, 0
-	msg.inFlight, msg.sending, msg.needRtx, msg.failed = false, false, false, false
+	*msg = txMsg{}
 	m.msgPool = append(m.msgPool, msg)
 }
 
@@ -422,7 +397,6 @@ func (m *MCP) getPartial() *partialMsg {
 		p := m.pmPool[n-1]
 		m.pmPool[n-1] = nil
 		m.pmPool = m.pmPool[:n-1]
-		m.touchPartial(p)
 		return p
 	}
 	return &partialMsg{}
@@ -430,7 +404,6 @@ func (m *MCP) getPartial() *partialMsg {
 
 func (m *MCP) freePartial(p *partialMsg) {
 	// Field-wise zero for the same reason as freeTxMsg.
-	m.touchPartial(p)
 	p.hdr, p.buf, p.arrived, p.dmaDone = gmproto.DataHeader{}, nil, 0, 0
 	p.tok, p.committed, p.directed = gmproto.RecvToken{}, false, false
 	m.pmPool = append(m.pmPool, p)
@@ -450,7 +423,6 @@ func (m *MCP) NodeID() gmproto.NodeID { return m.nodeID }
 
 // SetNodeID assigns the interface identity (mapper/driver).
 func (m *MCP) SetNodeID(id gmproto.NodeID) {
-	m.specTouch()
 	m.nodeID = id
 }
 
@@ -458,7 +430,6 @@ func (m *MCP) SetNodeID(id gmproto.NodeID) {
 // starts, timers are armed, and the protocol state is empty. The time cost
 // of loading lives in the driver/FTD, which calls this at the right moment.
 func (m *MCP) LoadAndStart() {
-	m.specTouch()
 	m.gen++
 	// A load follows either power-on (nothing in service) or a card reset
 	// (the reset's epoch bump dropped the queued handler closures), so the
@@ -493,9 +464,8 @@ func (m *MCP) Loaded() bool { return m.loaded }
 // Exec queue. Call only when those closures cannot run anymore — after a
 // card reset (epoch bump) or at end of simulation.
 func (m *MCP) Shutdown() {
-	m.specTouch()
 	for _, pkt := range m.inService {
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 	}
 	m.inService = nil
 	// The pending-work rings pair 1:1 with callbacks that died with the
@@ -517,7 +487,7 @@ func (m *MCP) Shutdown() {
 	}
 	m.evQ, m.evHead = m.evQ[:0], 0
 	for i := m.rawHead; i < len(m.rawQ); i++ {
-		m.rawQ[i].ReleaseSpec(m.eng)
+		m.rawQ[i].Release()
 	}
 	for i := range m.rawQ {
 		m.rawQ[i] = nil
@@ -545,7 +515,6 @@ func (m *MCP) Routes() map[gmproto.NodeID][]byte {
 
 // UploadRoutes installs the source-route table (mapper or FTD restore).
 func (m *MCP) UploadRoutes(routes map[gmproto.NodeID][]byte) {
-	m.specTouch() // the core shadow holds the old map reference
 	m.routes = make(map[gmproto.NodeID][]byte, len(routes))
 	for k, v := range routes {
 		m.routes[k] = append([]byte(nil), v...)
@@ -556,7 +525,6 @@ func (m *MCP) UploadRoutes(routes map[gmproto.NodeID][]byte) {
 // MCP caches entries from it on demand (§4.3). Only the registration count
 // is modeled.
 func (m *MCP) RegisterPageTable(entries int) {
-	m.specTouch()
 	m.pageTableEntries = entries
 }
 
@@ -573,7 +541,6 @@ func (m *MCP) HostOpenPort(port gmproto.PortID, sink EventSink) error {
 	if m.ports[port] != nil && m.ports[port].open {
 		return fmt.Errorf("mcp: port %d already open", port)
 	}
-	m.specTouch() // the ports array lives in the core shadow
 	m.ports[port] = &portState{open: true, sink: sink}
 	return nil
 }
@@ -583,7 +550,6 @@ func (m *MCP) HostOpenPort(port gmproto.PortID, sink EventSink) error {
 // sender still owns them).
 func (m *MCP) HostClosePort(port gmproto.PortID) {
 	if ps := m.port(port); ps != nil {
-		m.touchPort(ps)
 		ps.open = false
 		ps.frozen = false
 		for i := range ps.frozenQ {
@@ -602,7 +568,6 @@ func (m *MCP) FreezePort(port gmproto.PortID) {
 	if ps == nil || !ps.open || ps.frozen {
 		return
 	}
-	m.touchPort(ps)
 	ps.frozen = true
 }
 
@@ -615,7 +580,6 @@ func (m *MCP) ThawPort(port gmproto.PortID) {
 	if ps == nil || !ps.frozen {
 		return
 	}
-	m.touchPort(ps)
 	ps.frozen = false
 	for i := 0; i < len(ps.frozenQ); i++ {
 		it := ps.frozenQ[i]
@@ -650,7 +614,6 @@ func (m *MCP) HostPostSend(tok gmproto.SendToken) error {
 	if ps == nil || !ps.open {
 		return fmt.Errorf("mcp: send on closed port %d", tok.SrcPort)
 	}
-	m.touchPort(ps)
 	ps.sendQ = append(ps.sendQ, tok)
 	m.chip.RaiseISR(lanai.ISRDoorbell)
 	return nil
@@ -662,7 +625,6 @@ func (m *MCP) HostPostRecvToken(port gmproto.PortID, tok gmproto.RecvToken) erro
 	if ps == nil || !ps.open {
 		return fmt.Errorf("mcp: recv token on closed port %d", port)
 	}
-	m.touchPort(ps)
 	ps.recvTokens = append(ps.recvTokens, tok)
 	return nil
 }
@@ -675,16 +637,9 @@ func (m *MCP) HostRegisterRegion(port gmproto.PortID, id uint32, buf []byte) err
 	if ps == nil || !ps.open {
 		return fmt.Errorf("mcp: register region on closed port %d", port)
 	}
-	m.touchPort(ps) // shadow holds the old regions-map reference (or nil)
 	if ps.regions == nil {
 		ps.regions = make(map[uint32][]byte)
 	}
-	old, had := ps.regions[id]
-	var hadV uint64
-	if had {
-		hadV = 1
-	}
-	m.eng.SpecUndo(regionUndoSet, ps.regions, old, uint64(id), hadV)
 	ps.regions[id] = buf
 	return nil
 }
@@ -692,7 +647,6 @@ func (m *MCP) HostRegisterRegion(port gmproto.PortID, id uint32, buf []byte) err
 // HostSetAlarm asks the MCP to post an EvAlarm on the port at the given
 // virtual time; serviced by L_timer like other host requests (§4.2).
 func (m *MCP) HostSetAlarm(port gmproto.PortID, at sim.Time) {
-	m.specTouch()
 	m.alarms = append(m.alarms, alarmReq{port: port, at: at})
 }
 
@@ -713,7 +667,6 @@ func (m *MCP) PostFaultDetected(port gmproto.PortID) {
 // LANai "initializes the per-port state and, as usual, starts sending and
 // receiving messages for the port" (§4.4).
 func (m *MCP) ReopenPort(port gmproto.PortID, sink EventSink) {
-	m.specTouch()
 	m.ports[port] = &portState{open: true, sink: sink}
 }
 
@@ -723,7 +676,6 @@ func (m *MCP) ReopenPort(port gmproto.PortID, sink EventSink) {
 func (m *MCP) RestoreRxSeqs(seqs map[gmproto.StreamID]uint32) {
 	for id, seq := range seqs {
 		rs := m.rxStream(id)
-		m.touchRx(rs)
 		if seq > rs.arrivedSeq {
 			rs.arrivedSeq = seq
 		}
@@ -772,7 +724,6 @@ func (m *MCP) InjectSendCorruption(bit int, preSeal bool) {
 // --- Dispatch ---
 
 func (m *MCP) onISR(bit uint32) {
-	m.specTouch()
 	switch bit {
 	case lanai.ISRDoorbell:
 		m.chip.AckISR(lanai.ISRDoorbell)
@@ -796,7 +747,6 @@ func (m *MCP) onISR(bit uint32) {
 // (alarms), clears the FTD's magic word, re-arms the watchdog (FTGM) and
 // finally re-arms IT0.
 func (m *MCP) lTimer() {
-	m.specTouch()
 	m.stats.LTimerRuns++
 	now := m.eng.Now()
 	rest := m.alarms[:0]
@@ -832,7 +782,6 @@ func (m *MCP) postEvent(sink EventSink, ev gmproto.Event) {
 		// HostDMA would drop the request; don't queue an orphan record.
 		return
 	}
-	m.specTouch()
 	if m.evHead > 0 && m.evHead == len(m.evQ) {
 		m.evQ = m.evQ[:0]
 		m.evHead = 0

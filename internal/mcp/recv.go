@@ -17,14 +17,9 @@ import (
 //     host memory. FTGM ACKs carry this value (the delayed commit point of
 //     §4.1); stock GM ACKs carry arrivedSeq (the Figure 5 vulnerability).
 type rxStream struct {
-	id           gmproto.StreamID // map key, carried for journal undo records
 	arrivedSeq   uint32
 	committedSeq uint32
 	partial      *partialMsg
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   rxStreamShadow
 }
 
 // ackValue is the cumulative sequence number this mode may safely ACK.
@@ -43,10 +38,6 @@ type partialMsg struct {
 	tok       gmproto.RecvToken // the consumed receive token (zero if directed)
 	committed bool
 	directed  bool // deposit into registered memory; no token, no event
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   partialShadow
 }
 
 // trackService records custody of a packet whose handler closure sits on
@@ -56,14 +47,13 @@ func (m *MCP) trackService(pkt *fabric.Packet) { m.inService = append(m.inServic
 
 // finishService releases a packet whose handler has run and drops custody.
 func (m *MCP) finishService(pkt *fabric.Packet) {
-	m.specTouch()
 	for i, p := range m.inService {
 		if p == pkt {
 			m.inService = append(m.inService[:i], m.inService[i+1:]...)
 			break
 		}
 	}
-	pkt.ReleaseSpec(m.eng)
+	pkt.Release()
 }
 
 // serviceRecvRing drains the packet interface's ring one packet per
@@ -76,13 +66,12 @@ func (m *MCP) serviceRecvRing() {
 	if pkt == nil {
 		return
 	}
-	m.specTouch()
 	if len(pkt.Route) != 0 {
 		// Route bytes left over at an interface: the packet was launched
 		// with a route that does not terminate here (a mapper scout probing
 		// past a NIC, or a corrupted route). Hardware discards it.
 		m.stats.MisroutedDrops++
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 		m.chip.Exec(0, m.ringFn)
 		return
 	}
@@ -90,14 +79,14 @@ func (m *MCP) serviceRecvRing() {
 		// Link-level corruption: GM silently drops; the sender's
 		// Go-Back-N recovers (§2).
 		m.stats.CorruptDropped++
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 		m.chip.Exec(0, m.ringFn)
 		return
 	}
 	t, err := gmproto.PeekType(pkt.Payload)
 	if err != nil {
 		m.stats.BadHeaderDrops++
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 		m.chip.Exec(0, m.ringFn)
 		return
 	}
@@ -109,7 +98,7 @@ func (m *MCP) serviceRecvRing() {
 		h, frag, err := gmproto.DecodeData(pkt.Payload)
 		if err != nil {
 			m.stats.BadHeaderDrops++
-			pkt.ReleaseSpec(m.eng)
+			pkt.Release()
 			m.chip.Exec(0, m.ringFn)
 			return
 		}
@@ -119,28 +108,28 @@ func (m *MCP) serviceRecvRing() {
 		h, err := gmproto.DecodeAck(pkt.Payload)
 		if err != nil {
 			m.stats.BadHeaderDrops++
-			pkt.ReleaseSpec(m.eng)
+			pkt.Release()
 			m.chip.Exec(0, m.ringFn)
 			return
 		}
-		pkt.ReleaseSpec(m.eng) // header fully decoded; nothing references the bytes
+		pkt.Release() // header fully decoded; nothing references the bytes
 		m.pushSvc(svcItem{kind: svcAck, ah: h}, m.cfg.AckProc)
 	case gmproto.PTNack:
 		h, err := gmproto.DecodeAck(pkt.Payload)
 		if err != nil {
 			m.stats.BadHeaderDrops++
-			pkt.ReleaseSpec(m.eng)
+			pkt.Release()
 			m.chip.Exec(0, m.ringFn)
 			return
 		}
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 		m.pushSvc(svcItem{kind: svcNack, ah: h}, m.cfg.AckProc)
 	case gmproto.PTMapScout, gmproto.PTMapReply, gmproto.PTMapConfig, gmproto.PTGossip:
 		m.trackService(pkt)
 		m.pushSvc(svcItem{kind: svcMap, pt: t, pkt: pkt}, m.cfg.AckProc)
 	default:
 		m.stats.BadHeaderDrops++
-		pkt.ReleaseSpec(m.eng)
+		pkt.Release()
 		m.chip.Exec(0, m.ringFn)
 	}
 }
@@ -179,7 +168,6 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 		m.stats.ClosedPortDrops++
 		return
 	}
-	m.touchPort(ps)
 
 	streamPort := h.SrcPort
 	if m.mode == ModeGM {
@@ -204,17 +192,15 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 			// mid-stream number here would skip — and then dup-ACK away —
 			// the sender's unacknowledged window, so the stream starts at
 			// zero and anything later is NACKed until the restore lands.
-			rs = &rxStream{id: id}
+			rs = &rxStream{}
 		} else {
 			// Stock GM is connectionless with MCP-generated sequence
 			// numbers: the receiver synchronizes to the sender's current
 			// number (connection establishment is implicit).
-			rs = &rxStream{id: id, arrivedSeq: h.Seq - 1, committedSeq: h.Seq - 1}
+			rs = &rxStream{arrivedSeq: h.Seq - 1, committedSeq: h.Seq - 1}
 		}
 		m.rx[id] = rs
-		m.eng.SpecUndo(rxMapUndoInsert, m.rx, rs, 0, 0)
 	}
-	m.touchRx(rs)
 	expected := rs.arrivedSeq + 1
 
 	switch {
@@ -297,10 +283,6 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 			rs.partial = p
 		}
 	}
-	// The partial may have been created in an earlier span; its header
-	// fields need journaling before mutation. The buffer CONTENT is host
-	// memory and is deliberately not journaled (see partialShadow).
-	m.touchPartial(p)
 	copy(p.buf[h.Offset:], frag)
 	p.arrived += uint32(len(frag))
 

@@ -68,10 +68,6 @@ type txStream struct {
 	// generation it was armed under (a reload invalidates armed timers).
 	rtxFn  func()
 	rtxGen uint64
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   txStreamShadow
 }
 
 type txMsg struct {
@@ -82,10 +78,6 @@ type txMsg struct {
 	sending  bool // fragment chain in progress
 	needRtx  bool // scheduled for retransmission (NACK or timeout)
 	failed   bool // unroutable; swept out of the window lazily
-
-	// Speculation journaling (sim spec.go, DESIGN.md §16).
-	specMark uint64
-	shadow   txMsgShadow
 }
 
 func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
@@ -96,7 +88,6 @@ func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
 		s.dmaDone = func() { m.chip.Exec(m.cfg.SendProcB, s.stageInj) }
 		s.stageInj = func() { m.injectFrag(s) }
 		s.rtxFn = func() {
-			m.touchTx(s)
 			s.rtx = nil
 			if m.gen != s.rtxGen || !m.chip.Running() {
 				return
@@ -123,7 +114,6 @@ func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
 			s.nextSeq = uint32(m.gen) * 100000
 		}
 		m.tx[id] = s
-		m.eng.SpecUndo(txMapUndoInsert, m.tx, s, 0, 0)
 	}
 	return s
 }
@@ -131,9 +121,8 @@ func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
 func (m *MCP) rxStream(id gmproto.StreamID) *rxStream {
 	s, ok := m.rx[id]
 	if !ok {
-		s = &rxStream{id: id}
+		s = &rxStream{}
 		m.rx[id] = s
-		m.eng.SpecUndo(rxMapUndoInsert, m.rx, s, 0, 0)
 	}
 	return s
 }
@@ -141,7 +130,6 @@ func (m *MCP) rxStream(id gmproto.StreamID) *rxStream {
 // serviceSendQueues drains every open port's send queue into the per-stream
 // windows and pumps the touched streams.
 func (m *MCP) serviceSendQueues() {
-	m.specTouch()
 	touched := m.touched[:0] // ordered: simulation must be deterministic
 	for _, ps := range m.ports {
 		if ps == nil || !ps.open {
@@ -167,7 +155,6 @@ func (m *MCP) serviceSendQueues() {
 					id.Port = gmproto.ConnectionPort
 				}
 				s := m.txStreamFor(id)
-				m.touchTx(s)
 				msg := m.getTxMsg()
 				msg.tok, msg.msgID = tok, m.nextMsgID
 				m.nextMsgID++
@@ -200,9 +187,6 @@ func (m *MCP) serviceSendQueues() {
 		}
 		// Truncate in place, dropping the token payload references so the
 		// retained backing array cannot pin host buffers.
-		if len(ps.sendQ) > 0 {
-			m.touchPort(ps)
-		}
 		for i := range ps.sendQ {
 			ps.sendQ[i] = gmproto.SendToken{}
 		}
@@ -230,7 +214,6 @@ func (m *MCP) sweepFailed(s *txStream) {
 	if s.nfailed == 0 {
 		return
 	}
-	m.touchTx(s)
 	s.nfailed = 0
 	w := s.window[:0]
 	for _, msg := range s.window {
@@ -246,7 +229,6 @@ func (m *MCP) sweepFailed(s *txStream) {
 // pumpStream starts transmission of the first window message that needs
 // the wire (never sent, or marked for retransmission), oldest first.
 func (m *MCP) pumpStream(s *txStream) {
-	m.touchTx(s)
 	m.sweepFailed(s)
 	if s.txBusy {
 		return
@@ -272,9 +254,6 @@ func (m *MCP) pumpStream(s *txStream) {
 // header build and packet injection). Fragments of one message go back to
 // back; distinct messages pipeline through the window.
 func (m *MCP) transmitMsg(s *txStream, msg *txMsg, isRtx bool) {
-	m.specTouch()
-	m.touchTx(s)
-	m.touchMsg(msg)
 	route, ok := m.routes[s.id.Node]
 	if !ok {
 		if !m.deadPeers[s.id.Node] && isRtx {
@@ -338,10 +317,7 @@ func (m *MCP) startFrag(s *txStream) {
 // injectFrag is the send_chunk tail: build the fragment header, seal, and
 // inject; then chain to the next fragment or finish the message.
 func (m *MCP) injectFrag(s *txStream) {
-	m.specTouch()
-	m.touchTx(s)
 	msg := s.cur
-	m.touchMsg(msg)
 	h := gmproto.DataHeader{
 		Src:          m.nodeID,
 		Dst:          s.id.Node,
@@ -356,7 +332,7 @@ func (m *MCP) injectFrag(s *txStream) {
 		RegionID:     msg.tok.RegionID,
 		RemoteOffset: msg.tok.RemoteOffset,
 	}
-	pkt := fabric.GetPacketSpec(m.eng)
+	pkt := fabric.GetPacket()
 	// The route slice is interned, not copied: UploadRoutes installs fresh
 	// copies per epoch and never mutates them, and switches only re-slice
 	// pkt.Route, so every packet of a (stream, route-epoch) can alias one
@@ -406,7 +382,6 @@ func (m *MCP) injectFrag(s *txStream) {
 // before the new deadline — deadlines only move forward), it will hop to the
 // stored deadline when it fires, so a re-arm never touches the event heap.
 func (m *MCP) armRtx(s *txStream) {
-	m.touchTx(s)
 	s.rtxGen = m.gen
 	s.rtxAt = m.eng.Now() + m.cfg.RtxTimeout
 	if s.rtx == nil {
@@ -417,8 +392,6 @@ func (m *MCP) armRtx(s *txStream) {
 // retransmitWindow marks every in-flight unacknowledged message of the
 // stream for resend, oldest first (Go-Back-N on timeout).
 func (m *MCP) retransmitWindow(s *txStream) {
-	m.specTouch()
-	m.touchTx(s)
 	m.sweepFailed(s)
 	any := false
 	for i, msg := range s.window {
@@ -426,7 +399,6 @@ func (m *MCP) retransmitWindow(s *txStream) {
 			break
 		}
 		if msg.inFlight && !msg.sending {
-			m.touchMsg(msg)
 			msg.needRtx = true
 			any = true
 		}
@@ -458,8 +430,6 @@ func (m *MCP) handleAck(h gmproto.AckHeader) {
 	if !ok {
 		return
 	}
-	m.specTouch()
-	m.touchTx(s)
 	s.stalls = 0 // control traffic heard: the path is alive
 	m.sweepFailed(s)
 	rest := s.window[:0]
@@ -497,8 +467,6 @@ func (m *MCP) handleNack(h gmproto.AckHeader) {
 	if !ok {
 		return
 	}
-	m.specTouch()
-	m.touchTx(s)
 	s.stalls = 0 // control traffic heard: the path is alive
 	m.sweepFailed(s)
 	expected := h.AckSeq
@@ -525,7 +493,6 @@ func (m *MCP) handleNack(h gmproto.AckHeader) {
 	if !found {
 		if m.adoptNackSeq && len(s.window) > 0 {
 			for i, msg := range s.window {
-				m.touchMsg(msg)
 				msg.seq = expected + uint32(i)
 				msg.inFlight = false
 			}
@@ -542,7 +509,6 @@ func (m *MCP) handleNack(h gmproto.AckHeader) {
 			break
 		}
 		if msg.seq >= expected && msg.inFlight && !msg.sending {
-			m.touchMsg(msg)
 			msg.needRtx = true
 		}
 	}
@@ -617,18 +583,11 @@ func rxStreamIDs(m map[gmproto.StreamID]*rxStream) []gmproto.StreamID {
 // node fail immediately — the graceful-degradation half of the network
 // watchdog's verdict. ResetPeerStreams readmits the peer.
 func (m *MCP) FailPeer(node gmproto.NodeID) {
-	m.specTouch()
-	if !m.deadPeers[node] {
-		m.eng.SpecUndo(deadUndoInsert, m.deadPeers, nil, uint64(node), 0)
-	}
 	m.deadPeers[node] = true
 	// Queued tokens that never reached a window.
 	for _, ps := range m.ports {
 		if ps == nil || !ps.open {
 			continue
-		}
-		if len(ps.sendQ) > 0 {
-			m.touchPort(ps)
 		}
 		keep := ps.sendQ[:0]
 		for _, tok := range ps.sendQ {
@@ -644,7 +603,6 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 	// Window messages, in sorted stream order for determinism.
 	for _, id := range streamIDsToward(node, txStreamIDs(m.tx)) {
 		s := m.tx[id]
-		m.touchTx(s)
 		if s.rtx != nil {
 			s.rtx.Cancel()
 			s.rtx = nil
@@ -653,7 +611,6 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 			if msg.failed {
 				continue
 			}
-			m.touchMsg(msg)
 			msg.failed = true
 			m.stats.UnreachableFails++
 			m.completeSend(msg, gmproto.SendErrorUnreachable)
@@ -662,7 +619,6 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 		s.nfailed = 0
 		s.rtxAt = 0
 		delete(m.tx, id)
-		m.eng.SpecUndo(txMapUndoDelete, m.tx, s, 0, 0)
 	}
 }
 
@@ -671,26 +627,18 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 // — so a readmitted peer and this node meet again on fresh streams (both
 // sides restart at sequence 1 via the FTGM first-contact path).
 func (m *MCP) ResetPeerStreams(node gmproto.NodeID) {
-	m.specTouch()
-	if m.deadPeers[node] {
-		m.eng.SpecUndo(deadUndoDelete, m.deadPeers, nil, uint64(node), 0)
-	}
 	delete(m.deadPeers, node)
 	for _, id := range streamIDsToward(node, txStreamIDs(m.tx)) {
 		s := m.tx[id]
-		m.touchTx(s)
 		if s.rtx != nil {
 			s.rtx.Cancel()
 			s.rtx = nil
 		}
 		s.rtxAt = 0
 		delete(m.tx, id)
-		m.eng.SpecUndo(txMapUndoDelete, m.tx, s, 0, 0)
 	}
 	for _, id := range streamIDsToward(node, rxStreamIDs(m.rx)) {
-		rs := m.rx[id]
 		delete(m.rx, id)
-		m.eng.SpecUndo(rxMapUndoDelete, m.rx, rs, 0, 0)
 	}
 }
 
@@ -701,7 +649,6 @@ func (m *MCP) PeerUnreachable(node gmproto.NodeID) bool { return m.deadPeers[nod
 // route wait in the ctrl ring for the AckProc slot; the cached callback
 // builds and injects the packet, so a control send allocates nothing.
 func (m *MCP) sendControl(h gmproto.AckHeader) {
-	m.specTouch()
 	route, ok := m.routes[h.Dst]
 	if !ok {
 		return

@@ -18,14 +18,6 @@ type Deferred[T any] struct {
 	wake     *Event
 	draining bool
 	drainFn  func() // cached; arming a drain must not allocate
-
-	// Speculation journaling (spec.go): the ring checkpoints its live region
-	// into shadowQ on first touch per span and rebuilds canonically (head 0)
-	// on rollback. Slot positions inside the array are unobservable, so the
-	// canonical rebuild preserves dispatch order bit-for-bit.
-	specEpoch  uint64
-	shadowQ    []deferredItem[T]
-	shadowWake *Event
 }
 
 type deferredItem[T any] struct {
@@ -43,7 +35,6 @@ func NewDeferred[T any](eng *Engine, label string, run func(T)) *Deferred[T] {
 // Call queues run(v) for virtual time t. t must be >= every previously
 // queued time.
 func (d *Deferred[T]) Call(t Time, v T) {
-	d.eng.SpecTouch(&d.specEpoch, d)
 	if n := len(d.q); n > d.head && t < d.q[n-1].at {
 		panic("sim: Deferred.Call with decreasing time")
 	}
@@ -63,33 +54,7 @@ func (d *Deferred[T]) After(dur Duration, v T) { d.Call(d.eng.Now()+dur, v) }
 // Pending reports how many queued calls have not yet dispatched.
 func (d *Deferred[T]) Pending() int { return len(d.q) - d.head }
 
-// SpecSave / SpecRestore implement SpecSaver (spec.go): first-touch
-// checkpoint of the ring's live region, wake event and cursor.
-func (d *Deferred[T]) SpecSave() {
-	d.shadowQ = append(d.shadowQ[:0], d.q[d.head:]...)
-	d.shadowWake = d.wake
-}
-
-// SpecRestore rebuilds the ring canonically from the shadow. The wake event
-// object is revived by the engine's own rollback (popped events are
-// retained, span-new events erased), so re-pointing at the saved handle is
-// always safe.
-func (d *Deferred[T]) SpecRestore() {
-	var zero deferredItem[T]
-	for i := len(d.shadowQ); i < len(d.q); i++ {
-		d.q[i] = zero
-	}
-	d.q = append(d.q[:0], d.shadowQ...)
-	d.head = 0
-	d.wake = d.shadowWake
-	d.draining = false
-}
-
 func (d *Deferred[T]) drain() {
-	// Touch before the transient flags flip, so a first-touch checkpoint
-	// taken here (or by a reentrant Call from a dispatched callback) captures
-	// the quiescent shape.
-	d.eng.SpecTouch(&d.specEpoch, d)
 	d.wake = nil
 	d.draining = true
 	now := d.eng.Now()

@@ -57,16 +57,10 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// State snapshots the generator's full internal state. Together with
-// Restore it gives the speculation machinery (shard.go) an exact
-// checkpoint: splitmix64 keeps all of its entropy in one word, so a
-// snapshot is a single load and a restore replays the identical stream.
+// State reports the generator's full internal state: splitmix64 keeps all
+// of its entropy in one word, so two generators with equal State produce
+// identical streams. Engine snapshots attest RNG positions with it.
 func (r *RNG) State() uint64 { return r.state }
-
-// Restore rewinds the generator to a state previously captured with State.
-// The next Uint64 after Restore(s) equals the next Uint64 after State
-// returned s.
-func (r *RNG) Restore(s uint64) { r.state = s }
 
 // Fork derives an independent generator from the current stream. Subsystems
 // take forked generators so that adding randomness in one component does not

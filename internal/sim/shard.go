@@ -10,7 +10,7 @@ import (
 // This file implements within-trial parallelism: an Engine can be split into
 // per-component *domains* — each with its own event queue, clock, sequence
 // counter and RNG — synchronized with link propagation delays as lookahead.
-// Three mechanisms bound how far a domain may run between barriers:
+// Two mechanisms bound how far a domain may run between barriers:
 //
 //  1. Per-edge lookahead. Boundaries register directed edges
 //     (ObserveEdgeLookahead), and each window computes every domain's
@@ -23,9 +23,6 @@ import (
 //     earliest foreign head under a self-containment rule (stop at the
 //     first cross-domain transfer), collapsing drain tails into one
 //     barrier per interaction.
-//  3. Speculative run-ahead (spec.go). Domains that registered state hooks
-//     may execute past their conservative bound into a journaled span that
-//     the next barrier commits or rolls back.
 //
 // The design keys on one observation: every component in this codebase takes
 // its *Engine at construction and schedules exclusively through that pointer.
@@ -45,13 +42,12 @@ import (
 //     seqs at that point. Transfer order is thus a pure function of the
 //     window schedule, which depends only on queue contents — never on how
 //     many OS threads executed a window.
-//   - Window bounds, speculation commit/rollback decisions and control
-//     promotion times are all pure functions of queue contents and the
-//     registered edge graph, so they too are executor-count invariant.
+//   - Window bounds and control promotion times are pure functions of queue
+//     contents and the registered edge graph, so they too are
+//     executor-count invariant.
 //   - Trace lines are buffered per domain and merged by (time, domain
 //     index, emission order) — lines are held back until the global clock
-//     floor passes them, so per-domain window skew (and rolled-back
-//     speculation) never reorders or leaks a line.
+//     floor passes them, so per-domain window skew never reorders a line.
 //
 // SetShards(1) keeps the exact same windowed schedule but executes every
 // window on the coordinator goroutine, domain by domain in index order —
@@ -66,22 +62,6 @@ type Boundary interface {
 	// receiving domain (scheduling receiver-side events as needed). Runs on
 	// the coordinator goroutine between windows.
 	FlushBoundary()
-}
-
-// TimedBoundary is a Boundary that can report where its pending transfers
-// are headed and when the earliest lands. The barrier uses this to decide
-// speculation commits: an in-flight transfer is an arrival source for its
-// target domain. Boundaries that do not implement it force every open
-// speculative span to roll back whenever they are dirty, so any producer
-// feeding a speculation-capable simulation should implement it.
-type TimedBoundary interface {
-	Boundary
-	// BoundaryTarget is the domain the pending transfers will flush into.
-	BoundaryTarget() *Engine
-	// EarliestPending is the delivery time of the earliest pending
-	// transfer (Forever when none, though a dirty boundary has at least
-	// one).
-	EarliestPending() Time
 }
 
 // traceLine is one buffered trace emission awaiting the barrier merge.
@@ -133,12 +113,8 @@ type coord struct {
 	minIdx    int
 	secondMin Time
 	// eat holds each domain's per-window earliest-affect time: the
-	// conservative bound below which no foreign event chain can land. src
-	// and arr are relaxation scratch (per-domain source times and pending
-	// boundary arrival times) for speculation resolution.
+	// conservative bound below which no foreign event chain can land.
 	eat []Time
-	src []Time
-	arr []Time
 
 	// dirtyDoms lists domains that noted a dirty boundary this window, so
 	// the barrier touches only producers with pending transfers instead of
@@ -164,33 +140,6 @@ type coord struct {
 	// wakeup per window.
 	parThreshold int
 	sparseStreak int
-
-	// Speculation (spec.go): specHorizon is the armed initial/maximum
-	// run-ahead past the conservative bound; horizons holds each domain's
-	// adaptive effective horizon (AIMD on observed commit/rollback outcomes,
-	// see noteSpecOutcome), read by domain executors during a window and
-	// written only by the coordinator at barriers. specSkip/specBackoff are
-	// the rollback cooloff (see noteSpecOutcome): skip counts windows the
-	// domain still sits out, decremented by its own executor at the moment a
-	// span would otherwise open (each index is touched only by its owning
-	// domain during a window and only by the coordinator at barriers, the
-	// same discipline as horizons). specClip is the deadline clip for
-	// spans; specSpanSeq issues globally unique span ids for the
-	// first-touch journal dedupe (SpecTouch).
-	specHorizon        Duration
-	horizons           []Duration
-	specSkip           []uint32
-	specBackoff        []uint32
-	specClip           Time
-	anySpec            bool
-	specScratch        []*Engine
-	specSpanSeq        atomic.Uint64
-	specCommits        uint64
-	specRollbacks      uint64
-	specCommitEvents   uint64
-	specRollbackEvents uint64
-	specDomCommits     []uint64
-	specDomRollbacks   []uint64
 }
 
 // defaultParallelThreshold is the dispatch threshold when
@@ -423,136 +372,10 @@ func (e *Engine) runWindow(end Time) {
 	}
 }
 
-// runDomainWindow is one domain's share of a concurrent window: the
-// conservative portion up to end, then — if the simulation is armed and the
-// domain registered state hooks — a speculative span up to the horizon.
-func (e *Engine) runDomainWindow(end Time) {
-	e.runWindow(end)
-	c := e.co
-	if c.specHorizon <= 0 || !e.specCapable {
-		return
-	}
-	limit := end + c.horizons[e.domIdx]
-	if limit < end || limit > c.specClip { // overflow or deadline clip
-		limit = c.specClip
-	}
-	if limit > end {
-		e.speculate(limit)
-	}
-}
-
-// ensureHorizons sizes the per-domain adaptive-horizon state, seeding new
-// domains at the armed maximum (SetSpeculation's value). Existing entries
-// keep their adapted value across Run calls, so a long campaign's controller
-// state survives RunUntil stepping.
-func (c *coord) ensureHorizons() {
-	if c.specHorizon <= 0 {
-		return
-	}
-	for len(c.horizons) < len(c.engines) {
-		c.horizons = append(c.horizons, c.specHorizon)
-	}
-	for len(c.specSkip) < len(c.engines) {
-		c.specSkip = append(c.specSkip, 0)
-		c.specBackoff = append(c.specBackoff, 0)
-	}
-	for len(c.specDomCommits) < len(c.engines) {
-		c.specDomCommits = append(c.specDomCommits, 0)
-		c.specDomRollbacks = append(c.specDomRollbacks, 0)
-	}
-}
-
-// noteSpecOutcome adapts domain i's speculation horizon from a span
-// outcome: additive increase on commit (an eighth of the maximum per
-// committed span, capped at the maximum), multiplicative decrease on
-// rollback (halved, floored at a sixteenth of the maximum) — AIMD, so a
-// domain sitting in a rollback storm throttles toward a narrow probe span
-// within a handful of barriers while occasional rollbacks barely dent a
-// wide horizon.
-//
-// Horizon adaptation alone bounds how FAR a losing domain runs ahead, not
-// how OFTEN: on a saturated fabric even a floor-width span loses most of
-// the time, and each one still pays the open/resolve cost plus the
-// conservative re-execution of everything it journaled. So a rollback also
-// charges an exponential cooloff — the domain sits out specBackoff windows
-// (doubling per rollback, capped at specSkipMax) before its next probe
-// span, while a commit pays the backoff down by one: a chronic loser's
-// occasional lucky commit barely re-arms it, but a domain whose spans keep
-// committing holds backoff at zero and speculates every window. Outcomes
-// are schedule-deterministic, so the adapted horizons and cooloffs — and
-// every window bound derived from them — stay executor-count invariant.
-func (c *coord) noteSpecOutcome(i int, committed bool) {
-	max := c.specHorizon
-	h := c.horizons[i]
-	if committed {
-		c.specDomCommits[i]++
-		h += max/8 + 1
-		if h > max {
-			h = max
-		}
-		if c.specBackoff[i] > 0 {
-			c.specBackoff[i]--
-		}
-	} else {
-		c.specDomRollbacks[i]++
-		h /= 2
-		floor := max / 16
-		if floor < 1 {
-			floor = 1
-		}
-		if h < floor {
-			h = floor
-		}
-		bo := c.specBackoff[i]*2 + 1
-		if bo > specSkipMax {
-			bo = specSkipMax
-		}
-		c.specBackoff[i] = bo
-		c.specSkip[i] = bo
-	}
-	c.horizons[i] = h
-}
-
-// specSkipMax caps the rollback cooloff: a domain in a permanent rollback
-// storm still probes every ~64 windows, so it rediscovers a quiet phase
-// within a bounded number of barriers rather than never.
-const specSkipMax = 63
-
-// SpecHorizonStats reports the adaptive controller's current per-domain
-// horizons across speculation-capable domains: the minimum, maximum and mean
-// effective horizon. All zeros when speculation is unarmed or no domain
-// registered hooks.
-func (e *Engine) SpecHorizonStats() (lo, hi, mean Duration) {
-	if e.co == nil || e.co.specHorizon <= 0 {
-		return 0, 0, 0
-	}
-	c := e.co
-	var sum Duration
-	n := 0
-	for i, d := range c.engines {
-		if !d.specCapable || i >= len(c.horizons) {
-			continue
-		}
-		h := c.horizons[i]
-		if n == 0 || h < lo {
-			lo = h
-		}
-		if h > hi {
-			hi = h
-		}
-		sum += h
-		n++
-	}
-	if n > 0 {
-		mean = sum / Duration(n)
-	}
-	return lo, hi, mean
-}
-
 // run is the domain-mode main loop: per-domain windows bounded by the edge
 // lookahead graph, serialized when control events are due, with
-// boundary/control/trace flushes and speculation resolution at each
-// barrier. deadline == Forever runs until every queue drains (or Stop).
+// boundary/control/trace flushes at each barrier. deadline == Forever runs
+// until every queue drains (or Stop).
 func (c *coord) run(deadline Time) Time {
 	if len(c.engines) > 1 && c.lookahead <= 0 {
 		panic(fmt.Sprintf("sim: %d event domains but no boundary registered a lookahead; "+
@@ -562,11 +385,6 @@ func (c *coord) run(deadline Time) Time {
 	}
 	c.running = true
 	c.stopReq.Store(false)
-	c.specClip = Forever
-	if deadline != Forever {
-		c.specClip = deadline + 1
-	}
-	c.ensureHorizons()
 	rw := c.startWorkers()
 	defer func() {
 		c.running = false
@@ -826,15 +644,6 @@ func (c *coord) runSerialWindow(end Time) {
 	}
 }
 
-// domainDue reports whether domain i (>= 1) has anything to do this window:
-// due events below its bound, or speculation eligibility.
-func (c *coord) domainDue(i int) bool {
-	if c.heads[i] < c.eat[i] {
-		return true
-	}
-	return c.specHorizon > 0 && c.engines[i].specCapable
-}
-
 // runParallelWindow executes a window with no due control events: the
 // domains are independent until the barrier, so they may run concurrently,
 // each to its own earliest-affect bound. With one executor — or too little
@@ -866,20 +675,17 @@ func (c *coord) runParallelWindow(rw *runWorkers) {
 		c.sparseStreak++
 	}
 	for i, d := range c.engines[1:] {
-		if c.domainDue(i + 1) {
-			d.runDomainWindow(c.eat[i+1])
+		if c.heads[i+1] < c.eat[i+1] {
+			d.runWindow(c.eat[i+1])
 		}
 	}
 }
 
-// flushWindow is the barrier: resolve speculative spans, move boundary
-// transfers into their receiving domains, and promote deferred control
-// closures to control-domain events — all in deterministic domain-index
-// order. Only domains that noted a dirty boundary are touched.
+// flushWindow is the barrier: move boundary transfers into their receiving
+// domains and promote deferred control closures to control-domain events —
+// both in deterministic domain-index order. Only domains that noted a dirty
+// boundary are touched.
 func (c *coord) flushWindow(end Time) {
-	if c.anySpec && c.specHorizon > 0 {
-		c.resolveSpeculation()
-	}
 	if len(c.dirtyDoms) > 0 {
 		sort.Ints(c.dirtyDoms)
 		for _, di := range c.dirtyDoms {
@@ -916,162 +722,11 @@ func (c *coord) flushWindow(end Time) {
 	}
 }
 
-// resolveSpeculation decides every open speculative span at the barrier. A
-// span may commit only if no event chain — from any queued event, any
-// in-flight boundary transfer, or any other span's potential rollback — can
-// ever land inside it. That is the same earliest-affect fixpoint the
-// windows use, evaluated on pessimistic sources: a speculating domain
-// contributes its span-start clock (a lower bound on its behavior whether
-// it commits or rolls back), and pending transfers contribute their
-// delivery times to their target. Spans whose end exceeds the bound roll
-// back and re-execute conservatively; the decision inputs are all
-// schedule-deterministic, so the outcome is executor-count invariant.
-func (c *coord) resolveSpeculation() {
-	specs := c.specScratch[:0]
-	for _, d := range c.engines {
-		if d.spec != nil {
-			specs = append(specs, d)
-		}
-	}
-	c.specScratch = specs
-	if len(specs) == 0 {
-		return
-	}
-	n := len(c.engines)
-	if cap(c.src) < n {
-		c.src = make([]Time, n)
-		c.arr = make([]Time, n)
-	}
-	c.src = c.src[:n]
-	c.arr = c.arr[:n]
-	for i, d := range c.engines {
-		c.arr[i] = Forever
-		if d.spec != nil {
-			c.src[i] = d.spec.now
-			continue
-		}
-		d.discardCanceledRoot()
-		if len(d.queue) == 0 {
-			c.src[i] = Forever
-		} else {
-			c.src[i] = d.queue[0].when
-		}
-	}
-	untimed := false
-	for _, di := range c.dirtyDoms {
-		for _, b := range c.engines[di].dirty {
-			tb, ok := b.(TimedBoundary)
-			if !ok {
-				untimed = true
-				break
-			}
-			tgt := tb.BoundaryTarget().domIdx
-			at := tb.EarliestPending()
-			// The pending transfer lands in the target at `at` (capping the
-			// target's own bound) and everything the target does in reaction
-			// starts there (a source for domains downstream of the target).
-			if at < c.arr[tgt] {
-				c.arr[tgt] = at
-			}
-			if at < c.src[tgt] {
-				c.src[tgt] = at
-			}
-		}
-	}
-	if untimed {
-		// A dirty boundary we cannot attribute: assume the worst and
-		// replay every span conservatively.
-		for _, d := range specs {
-			d.rollbackSpec()
-			c.noteSpecOutcome(d.domIdx, false)
-		}
-		return
-	}
-	c.relaxEAT(c.src)
-	for _, d := range specs {
-		bound := c.eat[d.domIdx]
-		if a := c.arr[d.domIdx]; a < bound {
-			bound = a
-		}
-		if bound >= d.now {
-			d.commitSpec()
-			c.noteSpecOutcome(d.domIdx, true)
-		} else {
-			d.rollbackSpec()
-			c.noteSpecOutcome(d.domIdx, false)
-		}
-	}
-}
-
-// relaxEAT runs the earliest-affect fixpoint over arbitrary per-domain
-// source times (see computeEAT for the windowed variant), filling c.eat.
-func (c *coord) relaxEAT(src []Time) {
-	n := len(c.engines)
-	if cap(c.eat) < n {
-		c.eat = make([]Time, n)
-	}
-	c.eat = c.eat[:n]
-	base := Forever
-	if c.legacy > 0 {
-		m := Forever
-		for _, s := range src {
-			if s < m {
-				m = s
-			}
-		}
-		if m < Forever-c.legacy {
-			base = m + c.legacy
-		}
-	}
-	for i := range c.eat {
-		c.eat[i] = Forever
-	}
-	for {
-		ready0 := src[0]
-		if c.eat[0] < ready0 {
-			ready0 = c.eat[0]
-		}
-		cap0 := base
-		if ready0 < cap0 {
-			cap0 = ready0
-		}
-		changed := false
-		for i := 0; i < n; i++ {
-			v := cap0
-			if i == 0 {
-				v = base
-			}
-			if ie := c.inEdges; i < len(ie) {
-				for _, ed := range ie[i] {
-					r := src[ed.from]
-					if er := c.eat[ed.from]; er < r {
-						r = er
-					}
-					if r >= Forever-ed.lat {
-						continue
-					}
-					if a := r + ed.lat; a < v {
-						v = a
-					}
-				}
-			}
-			if v < c.eat[i] {
-				c.eat[i] = v
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // mergeTraces drains buffered trace lines strictly below cutoff into the
 // sink in (time, domain index, emission order) order — identical to the
 // serialized execution order. Lines at or beyond the cutoff (the global
 // clock floor) stay buffered: a domain that ran ahead of its peers must not
-// emit before a slower peer's earlier line, and a speculative line must not
-// reach the sink before its span resolves. Pass Forever for the final drain.
+// emit before a slower peer's earlier line. Pass Forever for the final drain.
 func (c *coord) mergeTraces(cutoff Time) {
 	for {
 		var best *Engine
@@ -1171,8 +826,8 @@ func (rw *runWorkers) runPartition(w int) {
 	c := rw.c
 	doms := c.engines[1:]
 	for i := w; i < len(doms); i += rw.n {
-		if c.domainDue(i + 1) {
-			doms[i].runDomainWindow(c.eat[i+1])
+		if c.heads[i+1] < c.eat[i+1] {
+			doms[i].runWindow(c.eat[i+1])
 		}
 	}
 }

@@ -70,18 +70,14 @@ type Event struct {
 	// seq so that an arrival's position among same-instant events is a
 	// stable property of its source, not of which window barrier happened
 	// to flush it — the ingredient that makes results invariant under
-	// window-schedule changes (shard count, speculation horizon, resume).
+	// window-schedule changes (shard count, resume).
 	pri      uint32
 	seq      uint64 // FIFO tiebreak among events at the same (when, pri)
 	index    int    // heap index, -1 when not queued
 	canceled bool
-	// specNew marks an event scheduled inside a speculative span (spec.go):
-	// on rollback it is erased rather than restored, on commit the mark is
-	// cleared.
-	specNew bool
-	fn      func()
-	label   string
-	eng     *Engine // owner, for cancellation bookkeeping
+	fn       func()
+	label    string
+	eng      *Engine // owner, for cancellation bookkeeping
 }
 
 // When reports the virtual time the event is scheduled for.
@@ -96,7 +92,7 @@ func (e *Event) Cancel() {
 	}
 	e.canceled = true
 	if e.eng != nil && e.index >= 0 {
-		e.eng.noteCanceled(e)
+		e.eng.noteCanceled()
 	}
 }
 
@@ -162,16 +158,6 @@ type Engine struct {
 	ctrlq      []func()    // control closures awaiting the barrier
 	traceBuf   []traceLine // trace lines awaiting the barrier merge
 	tracePos   int
-
-	// Speculation plumbing (see spec.go). specCapable domains may run past
-	// their conservative bound into a journaled span that the barrier
-	// commits or rolls back. specFree pools the one span journal an engine
-	// ever needs (spans never nest), so reopening reuses its arenas.
-	spec        *specState
-	specFree    *specState
-	specCapable bool
-	specSave    func() any
-	specRestore func(any)
 }
 
 // maxFree bounds the recycling pool; beyond this, fired events are left to
@@ -286,8 +272,8 @@ func (e *Engine) AtLabel(t Time, label string, fn func()) *Event {
 // ArrivalClass allocates a stable ordering class for one cross-domain
 // arrival source (one direction of a boundary). Classes are handed out in
 // construction order — which the determinism contract already requires to
-// be fixed — so they are identical across shard counts, speculation
-// horizons and resumed runs. Class 0 is reserved for local events.
+// be fixed — so they are identical across shard counts and resumed runs.
+// Class 0 is reserved for local events.
 func (e *Engine) ArrivalClass() uint32 {
 	if e.co != nil {
 		e.co.arrivalClasses++
@@ -301,7 +287,7 @@ func (e *Engine) ArrivalClass() uint32 {
 // engine by a boundary flush (or a wake derived from one). Same-instant
 // ordering is local events first, then arrivals by class — a pure function
 // of (time, source, sender FIFO order), never of which barrier performed
-// the flush. Every TimedBoundary implementation must schedule its
+// the flush. Every Boundary implementation must schedule its
 // receiver-side events (including deferred-wake re-arms) through the class
 // it allocated at construction, or same-instant ties would make results
 // depend on the window schedule.
@@ -323,10 +309,6 @@ func (e *Engine) schedule(t Time, label string, pri uint32, fn func()) *Event {
 	}
 	*ev = Event{when: t, pri: pri, seq: e.nextSeq, fn: fn, label: label, eng: e}
 	e.nextSeq++
-	if e.spec != nil {
-		ev.specNew = true
-		e.spec.pushed = append(e.spec.pushed, ev)
-	}
 	e.heapPush(ev)
 	return ev
 }
@@ -410,28 +392,6 @@ func (e *Engine) siftDown(i int) {
 	ev.index = i
 }
 
-// heapRemove unlinks a still-queued event from an arbitrary heap position
-// (rollback erases speculatively scheduled events this way). The caller owns
-// the returned slot; the event's index is -1.
-func (e *Engine) heapRemove(ev *Event) {
-	i := ev.index
-	if i < 0 {
-		return
-	}
-	q := e.queue
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
-	ev.index = -1
-	if i < n {
-		e.queue[i] = last
-		last.index = i
-		e.siftDown(i)
-		e.siftUp(i)
-	}
-}
-
 // recycle returns a no-longer-queued event to the allocation pool, dropping
 // its callback reference so captured state can be collected.
 func (e *Engine) recycle(ev *Event) {
@@ -446,15 +406,9 @@ func (e *Engine) recycle(ev *Event) {
 // that the root, if any, is live. This is the single home of the discard
 // logic Step and RunUntil share: a canceled timer with an early timestamp
 // must neither fire nor mask the deadline check on the first live event.
-// During a speculative span the discarded events are retained on the undo
-// log instead of recycled, so a rollback can restore them.
 func (e *Engine) discardCanceledRoot() {
 	for len(e.queue) > 0 && e.queue[0].canceled {
 		e.canceled--
-		if e.spec != nil {
-			e.spec.popped = append(e.spec.popped, e.heapPop())
-			continue
-		}
 		e.recycle(e.heapPop())
 	}
 }
@@ -463,16 +417,8 @@ func (e *Engine) discardCanceledRoot() {
 // compaction sweep once canceled events exceed half of Pending(). The
 // watchdog re-arms a timer every L_timer interval; without this, each re-arm
 // would leave a dead event queued until its (possibly far-future) timestamp.
-// During speculation compaction is deferred (rollback must be able to find
-// every pre-span event) and cancellations of pre-span events are journaled.
-func (e *Engine) noteCanceled(ev *Event) {
+func (e *Engine) noteCanceled() {
 	e.canceled++
-	if e.spec != nil {
-		if !ev.specNew {
-			e.spec.canceledEvs = append(e.spec.canceledEvs, ev)
-		}
-		return
-	}
 	if n := len(e.queue); n >= compactMin && e.canceled*2 > n {
 		e.compact()
 	}
@@ -524,15 +470,8 @@ func (e *Engine) AfterLabel(d Duration, label string, fn func()) *Event {
 
 // Stop makes the current Run/RunUntil call return after the in-flight event
 // completes. Pending events remain queued. In domain mode a concurrent
-// window finishes before the run returns. A Stop issued from inside a
-// speculative span is journaled with the span: it takes effect only if the
-// span commits (a rolled-back stop re-fires when its event re-executes
-// conservatively).
+// window finishes before the run returns.
 func (e *Engine) Stop() {
-	if e.spec != nil {
-		e.spec.stopped = true
-		return
-	}
 	if e.co != nil {
 		e.co.stopReq.Store(true)
 	}

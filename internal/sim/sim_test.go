@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -417,4 +419,24 @@ func TestRunUntilCanceledRootNoOvershoot(t *testing.T) {
 	if !fired {
 		t.Fatal("event not fired after its time")
 	}
+}
+
+// TestZeroLookaheadPanics: domains with no registered lookahead used to
+// silently degrade to 1 ns windows; now the first Run must refuse loudly.
+func TestZeroLookaheadPanics(t *testing.T) {
+	root := NewEngine(1)
+	d1 := root.NewDomain("a")
+	d2 := root.NewDomain("b")
+	d1.AtLabel(10, "x", func() {})
+	d2.AtLabel(20, "x", func() {})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("Run with domains but no lookahead did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(r), "lookahead") {
+			t.Fatalf("panic message does not mention lookahead: %v", r)
+		}
+	}()
+	root.Run()
 }

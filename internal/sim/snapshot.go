@@ -19,7 +19,7 @@ import (
 // states, and the full live event heap (timestamps, sequence numbers,
 // labels). Resume takes a freshly constructed simulation built from the same
 // configuration, replays it to the cursor time (bit-for-bit identical by the
-// determinism contract, shard- and speculation-invariant by DESIGN.md §12/13)
+// determinism contract, shard-invariant by DESIGN.md §12/13)
 // and then verifies the attestation field by field. Any divergence — a
 // different seed, a drifted config, a code change that reordered events —
 // fails loudly with ErrSnapshotMismatch instead of silently continuing a
@@ -27,15 +27,15 @@ import (
 //
 // Snapshots are only meaningful at quiescence: between Run/RunUntil calls,
 // when every window barrier has flushed (no pending boundary transfers, no
-// deferred control closures, no open speculative span, no unmerged trace
-// lines). Snapshot refuses with ErrNotQuiescent otherwise.
+// deferred control closures, no unmerged trace lines). Snapshot refuses
+// with ErrNotQuiescent otherwise.
 
 // Snapshot format errors. Decoding never panics on hostile input: a
 // truncated, corrupt or foreign byte stream yields one of these.
 var (
 	// ErrNotQuiescent is returned by Snapshot when the simulation has
 	// unresolved barrier state (mid-run, dirty boundaries, deferred control
-	// closures, an open speculative span, or unmerged trace lines).
+	// closures, or unmerged trace lines).
 	ErrNotQuiescent = errors.New("sim: snapshot requires a quiescent simulation")
 	// ErrSnapshotTruncated is returned when the stream ends mid-record.
 	ErrSnapshotTruncated = errors.New("sim: snapshot truncated")
@@ -54,7 +54,9 @@ const snapshotMagic uint32 = 0x474d534e
 
 // snapshotVersion is the current format version. Bump on any layout change;
 // Resume rejects versions it does not understand rather than guessing.
-const snapshotVersion uint16 = 1
+// Version 2 dropped the four run-ahead outcome counters version 1 carried
+// after the root clock.
+const snapshotVersion uint16 = 2
 
 // domainCursor is one domain's attested state at the snapshot instant.
 type domainCursor struct {
@@ -71,13 +73,7 @@ type domainCursor struct {
 type snapshotCursor struct {
 	rootNow Time
 	shards  int
-	// Speculation outcome counters: part of the attestation because they are
-	// schedule-deterministic (DESIGN.md §13) and cheap to carry.
-	specCommits        uint64
-	specRollbacks      uint64
-	specCommitEvents   uint64
-	specRollbackEvents uint64
-	domains            []domainCursor
+	domains []domainCursor
 }
 
 // heapDigest folds every live queued event into an order-independent-input,
@@ -152,9 +148,6 @@ func (e *Engine) quiescent() error {
 		if len(d.ctrlq) > 0 {
 			return fmt.Errorf("%w: domain %d (%s) has deferred control closures", ErrNotQuiescent, d.domIdx, d.dname)
 		}
-		if d.spec != nil {
-			return fmt.Errorf("%w: domain %d (%s) has an open speculative span", ErrNotQuiescent, d.domIdx, d.dname)
-		}
 		if d.tracePos != len(d.traceBuf) {
 			return fmt.Errorf("%w: domain %d (%s) has unmerged trace lines", ErrNotQuiescent, d.domIdx, d.dname)
 		}
@@ -168,10 +161,6 @@ func (e *Engine) cursor() snapshotCursor {
 	engines := []*Engine{e}
 	if e.co != nil {
 		engines = e.co.engines
-		cur.specCommits = e.co.specCommits
-		cur.specRollbacks = e.co.specRollbacks
-		cur.specCommitEvents = e.co.specCommitEvents
-		cur.specRollbackEvents = e.co.specRollbackEvents
 	}
 	cur.domains = make([]domainCursor, len(engines))
 	for i, d := range engines {
@@ -194,7 +183,7 @@ func (e *Engine) cursor() snapshotCursor {
 // Run/RunUntil calls, after every barrier has flushed — and returns
 // ErrNotQuiescent otherwise. The snapshot is deterministic: two runs that
 // reached the same virtual time with the same configuration produce
-// byte-identical snapshots, for any shard count and with speculation enabled.
+// byte-identical snapshots, for any shard count.
 func (e *Engine) Snapshot(w io.Writer) error {
 	if e.co != nil {
 		e.checkControl()
@@ -209,10 +198,6 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, 0) // reserved flags
 	p(uint64(cur.rootNow))
-	p(cur.specCommits)
-	p(cur.specRollbacks)
-	p(cur.specCommitEvents)
-	p(cur.specRollbackEvents)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cur.domains)))
 	for _, d := range cur.domains {
 		if len(d.name) > 0xffff {
@@ -238,7 +223,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 func decodeSnapshot(data []byte) (snapshotCursor, error) {
 	var cur snapshotCursor
 	// Fixed header through the domain count, plus the trailing CRC.
-	const fixed = 4 + 2 + 2 + 8 + 4*8 + 4
+	const fixed = 4 + 2 + 2 + 8 + 4
 	if len(data) < fixed+4 {
 		return cur, ErrSnapshotTruncated
 	}
@@ -259,10 +244,6 @@ func decodeSnapshot(data []byte) (snapshotCursor, error) {
 		return v
 	}
 	cur.rootNow = Time(u64())
-	cur.specCommits = u64()
-	cur.specRollbacks = u64()
-	cur.specCommitEvents = u64()
-	cur.specRollbackEvents = u64()
 	nDomains := binary.LittleEndian.Uint32(body[off:])
 	off += 4
 	// Each domain record is at least 2 (name len) + 8*4 + 4 + 8 bytes.
@@ -301,7 +282,7 @@ func decodeSnapshot(data []byte) (snapshotCursor, error) {
 // configuration and seed that produced the snapshot, with its clock at or
 // before the snapshot time. Resume replays the simulation to the snapshot's
 // virtual time — bit-for-bit identical by the engine's determinism contract,
-// regardless of the shard count or speculation setting of either run — and
+// regardless of the shard count of either run — and
 // then verifies every attested field (per-domain clocks, sequence counters,
 // executed counts, RNG states, live event heaps). A mismatch means the
 // configuration, seed or code differs from the snapshotting run and returns
@@ -355,17 +336,6 @@ func (e *Engine) attest(cur snapshotCursor) error {
 			return fmt.Errorf("%w: domain %d (%s) %d live events vs snapshot %d", ErrSnapshotMismatch, i, g.name, g.live, w.live)
 		case g.digest != w.digest:
 			return fmt.Errorf("%w: domain %d (%s) event heap diverges", ErrSnapshotMismatch, i, g.name)
-		}
-	}
-	// The speculation counters are schedule-deterministic but NOT
-	// shard-count-invariant in the trivial sense: a serial replay of a
-	// speculative snapshot commits the same spans. They are part of the
-	// attestation only when both runs speculated (horizon armed on both).
-	if e.co != nil && e.co.specHorizon > 0 && (cur.specCommits|cur.specRollbacks) != 0 {
-		if got.specCommits != cur.specCommits || got.specRollbacks != cur.specRollbacks ||
-			got.specCommitEvents != cur.specCommitEvents || got.specRollbackEvents != cur.specRollbackEvents {
-			return fmt.Errorf("%w: speculation counters diverge (commits %d/%d rollbacks %d/%d)",
-				ErrSnapshotMismatch, got.specCommits, cur.specCommits, got.specRollbacks, cur.specRollbacks)
 		}
 	}
 	return nil

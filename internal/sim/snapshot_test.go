@@ -4,83 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"strings"
 	"testing"
 )
 
 // --- Snapshot/resume harness -------------------------------------------
 //
-// Reuses the speculation toy ring (spec_test.go): an n-domain ring of
-// RNG-paced tickers exchanging hashes over TimedBoundaries, with state
-// hooks registered so speculative spans open, commit and roll back. The
-// snapshot contract under test: a run snapshotted at T1 and resumed on a
-// fresh ring is byte-for-byte identical at T2 to a run that never stopped,
-// for any (snapshot shard count) x (resume shard count) pairing and with
-// speculation enabled.
-
-// toyRing is a constructed-but-not-yet-run ring plus its trace sink.
-type toyRing struct {
-	root  *Engine
-	doms  []*toyDom
-	trace *strings.Builder
-}
-
-// buildToyRing constructs the identical ring workload runToyRing runs, but
-// hands it back unrun so the caller can snapshot/resume at arbitrary points.
-func buildToyRing(n, shards int, horizon Duration, deadline Time) *toyRing {
-	root := NewEngine(42)
-	root.SetShards(shards)
-	if horizon > 0 {
-		root.SetSpeculation(horizon)
-	}
-	trace := &strings.Builder{}
-	root.SetTrace(func(at Time, comp, format string, args ...any) {
-		fmt.Fprintf(trace, "[%d] %s %s\n", at, comp, fmt.Sprintf(format, args...))
-	})
-	const lat = 1 * Microsecond
-	doms := make([]*toyDom, n)
-	for i := range doms {
-		doms[i] = &toyDom{
-			eng:      root.NewDomain(fmt.Sprintf("d%d", i)),
-			idx:      i,
-			lat:      lat,
-			sendMod:  13,
-			deadline: deadline,
-		}
-	}
-	for i, d := range doms {
-		next := doms[(i+1)%n]
-		d.out = &toyBoundary{src: d.eng, dst: next.eng, owner: next, class: next.eng.ArrivalClass()}
-		d.eng.ObserveEdgeLookahead(next.eng, lat)
-	}
-	for _, d := range doms {
-		d := d
-		if horizon > 0 {
-			d.eng.EnableSpeculation(d.save, d.restore)
-		}
-		d.eng.AtLabel(Time(100+d.idx*7)*Nanosecond, "tick", func() { d.tick() })
-	}
-	return &toyRing{root: root, doms: doms, trace: trace}
-}
-
-// fingerprint renders the ring's complete observable state: component
-// hashes, per-domain engine counters, the full merged trace. Speculation
-// counters are deliberately excluded — they are telemetry about how the
-// schedule was executed, and a paused-and-resumed run legitimately resolves
-// spans at different barriers than an uninterrupted one while producing
-// identical results (the same reason they are shard-invariant only for a
-// fixed call schedule).
-func (r *toyRing) fingerprint() string {
-	var fp strings.Builder
-	for _, d := range r.doms {
-		fmt.Fprintf(&fp, "dom%d c=%d h=%x exec=%d now=%d\n",
-			d.idx, d.counter, d.hash, d.eng.Executed(), d.eng.Now())
-	}
-	fp.WriteString(r.trace.String())
-	return fp.String()
-}
+// Reuses the toy ring (shard_test.go). The snapshot contract under test: a
+// run snapshotted at T1 and resumed on a fresh ring is byte-for-byte
+// identical at T2 to a run that never stopped, for any (snapshot shard
+// count) x (resume shard count) pairing.
 
 const (
 	toySnapAt  = Time(150 * Microsecond)
@@ -88,31 +21,26 @@ const (
 )
 
 // TestSnapshotResumeBitForBit is the acceptance contract: snapshot at T1 on
-// one shard count, resume on another (speculation armed throughout), run
-// both to T2 — the resumed fingerprint must be byte-identical to the
-// uninterrupted one.
+// one shard count, resume on another, run both to T2 — the resumed
+// fingerprint must be byte-identical to the uninterrupted one.
 func TestSnapshotResumeBitForBit(t *testing.T) {
-	const horizon = 6 * Microsecond
 	// The reference never stops: one uninterrupted run to T2.
-	ref := buildToyRing(12, 1, horizon, toySnapEnd)
+	ref := buildToyRing(12, 1, 0, toySnapEnd)
 	ref.root.RunUntil(toySnapEnd)
 	want := ref.fingerprint()
 	if want == "" {
 		t.Fatal("empty reference fingerprint")
 	}
-	if commits, _, _, _ := ref.root.SpecStats(); commits == 0 {
-		t.Fatal("reference run never committed a speculative span; harness is not exercising speculation")
-	}
 
 	for _, snapShards := range []int{1, 4, 8} {
-		src := buildToyRing(12, snapShards, horizon, toySnapEnd)
+		src := buildToyRing(12, snapShards, 0, toySnapEnd)
 		src.root.RunUntil(toySnapAt)
 		var snap bytes.Buffer
 		if err := src.root.Snapshot(&snap); err != nil {
 			t.Fatalf("snapshot at shards=%d: %v", snapShards, err)
 		}
 		for _, resShards := range []int{1, 4, 8} {
-			dst := buildToyRing(12, resShards, horizon, toySnapEnd)
+			dst := buildToyRing(12, resShards, 0, toySnapEnd)
 			if err := dst.root.Resume(bytes.NewReader(snap.Bytes())); err != nil {
 				t.Fatalf("resume shards=%d from snapshot shards=%d: %v", resShards, snapShards, err)
 			}
@@ -138,7 +66,7 @@ func TestSnapshotResumeBitForBit(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	var bufs [][]byte
 	for _, shards := range []int{1, 4, 8} {
-		r := buildToyRing(12, shards, 6*Microsecond, toySnapEnd)
+		r := buildToyRing(12, shards, 0, toySnapEnd)
 		r.root.RunUntil(toySnapAt)
 		var b bytes.Buffer
 		if err := r.root.Snapshot(&b); err != nil {
@@ -270,9 +198,19 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint16(b[4:6], 99)
 			return reseal(b)
 		}(), ErrSnapshotVersion},
+		// A version-1 stream carried four run-ahead outcome counters after
+		// the root clock; a well-formed one must be refused by version, not
+		// misparsed as a v2 layout.
+		{"v1-layout", func() []byte {
+			b := append([]byte(nil), good[:16]...)
+			binary.LittleEndian.PutUint16(b[4:6], 1)
+			b = append(b, make([]byte, 4*8)...)
+			b = append(b, good[16:len(good)-4]...)
+			return seal(b)
+		}(), ErrSnapshotVersion},
 		{"domain-count-overflow", func() []byte {
 			b := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(b[48:52], 1<<30)
+			binary.LittleEndian.PutUint32(b[16:20], 1<<30)
 			return reseal(b)
 		}(), ErrSnapshotTruncated},
 		{"trailing-garbage", seal(append(append([]byte(nil), good[:len(good)-4]...), 1, 2, 3)), ErrSnapshotCorrupt},
