@@ -98,10 +98,13 @@ scale-short:
 # Full harness benchmark: regenerates the Figure 7/8, netfault,
 # control-plane, host-fault, large-cluster scaling and multi-core matrix
 # metrics with per-section wall-clock/allocation accounting and regression
-# comparison against the committed baseline. Rewrites BENCH_10.json.
+# comparison against the committed baseline. The newest committed
+# BENCH_<n>.json is the baseline and the run writes BENCH_<n+1>.json.
+BENCH_LAST = $(shell git ls-files 'BENCH_*.json' | sed -n 's/^BENCH_\([0-9]*\)\.json$$/\1/p' | sort -n | tail -1)
+BENCH_NEXT = $(shell expr $(BENCH_LAST) + 1)
 bench:
 	go run ./cmd/gmbench -mode bw,lat,netfault,controlplane,hostfault,scale,scale_mc \
-		-benchjson BENCH_10.json -baseline BENCH_9.json
+		-benchjson BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 
 # Bench smoke gate (tier1): every go-test benchmark runs once.
 bench-short:

@@ -23,8 +23,9 @@ import (
 // artifactVersion guards the artifact layout; a mismatch means the writing
 // and resuming binaries disagree about the trial accounting and the resumed
 // campaign could not be folded faithfully. Version 2 dropped the run-ahead
-// outcome counters version 1 carried in every chaos.TrialResult.
-const artifactVersion = 2
+// outcome counters version 1 carried in every chaos.TrialResult; version 3
+// moved the counters into the embedded, json-tagged chaos.Counters.
+const artifactVersion = 3
 
 type campaignArtifact struct {
 	Version int    `json:"version"`
@@ -44,7 +45,7 @@ type schemeArtifact struct {
 	Done []chaos.TrialResult `json:"done"`
 }
 
-func configFingerprint(schemes []experiments.HostFaultScheme) string {
+func configFingerprint(schemes []experiments.Scheme) string {
 	return fmt.Sprintf("%+v", schemes)
 }
 
@@ -82,7 +83,7 @@ func loadArtifact(path string) (*campaignArtifact, error) {
 // once at the end when a path is set). With resumeFrom it validates the
 // prior artifact against this run's seed and config and continues from its
 // cursor.
-func runHostFaultResumable(seed uint64, cfg chaos.CampaignConfig, every int, path, resumeFrom string) ([]experiments.HostFaultResult, error) {
+func runHostFaultResumable(seed uint64, cfg chaos.CampaignConfig, every int, path, resumeFrom string) ([]experiments.SchemeResult, error) {
 	schemes := experiments.HostFaultSchemes(cfg)
 	print := configFingerprint(schemes)
 
@@ -146,10 +147,10 @@ func runHostFaultResumable(seed uint64, cfg chaos.CampaignConfig, every int, pat
 		return nil, err
 	}
 
-	results := make([]experiments.HostFaultResult, 0, len(schemes))
+	results := make([]experiments.SchemeResult, 0, len(schemes))
 	for si, s := range schemes {
 		campaign := chaos.AssembleCampaign(seed, s.Cfg.Mode, art.Schemes[si].Done)
-		results = append(results, experiments.FoldHostFault(s.Label, campaign))
+		results = append(results, experiments.SchemeResult{Label: s.Label, Campaign: campaign})
 	}
 	return results, nil
 }

@@ -10,9 +10,10 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"repro/gm"
 )
@@ -30,12 +31,22 @@ type worker struct {
 }
 
 func main() {
-	nodes := flag.Int("nodes", 4, "ranks in the ring (2..8)")
-	rounds := flag.Int("rounds", 6, "all-reduce iterations")
-	inject := flag.Bool("inject", true, "hang one interface mid-job")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "allreduce:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("allreduce", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 4, "ranks in the ring (2..8)")
+	rounds := fs.Int("rounds", 6, "all-reduce iterations")
+	inject := fs.Bool("inject", true, "hang one interface mid-job")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *nodes < 2 || *nodes > 8 {
-		log.Fatal("-nodes must be 2..8")
+		return errors.New("-nodes must be 2..8")
 	}
 
 	cfg := gm.DefaultConfig(gm.ModeFTGM)
@@ -46,12 +57,12 @@ func main() {
 	for i := 0; i < *nodes; i++ {
 		n := cluster.AddNode(fmt.Sprintf("rank%d", i))
 		if err := cluster.Connect(n, sw, i); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		members = append(members, n)
 	}
 	if _, err := cluster.Boot(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Wire the ring: rank i sends to rank (i+1) mod n.
@@ -59,11 +70,11 @@ func main() {
 	for i, n := range members {
 		p, err := n.OpenPort(1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for j := 0; j < 16; j++ {
 			if err := p.ProvideReceiveBuffer(64, gm.PriorityLow); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		workers[i] = &worker{
@@ -80,6 +91,14 @@ func main() {
 		expect += w.local
 	}
 
+	// failed keeps the first error raised inside a simulation callback.
+	var failed error
+	fail := func(err error) {
+		if err != nil && failed == nil {
+			failed = err
+		}
+	}
+
 	// Ring protocol: rank 0 starts a round with its own value; each rank
 	// adds its contribution and forwards; after a full lap plus a
 	// broadcast lap, everyone holds the sum.
@@ -89,7 +108,7 @@ func main() {
 		w.port.SetReceiveHandler(func(ev gm.RecvEvent) {
 			hop := int(ev.Data[0])
 			sum := binary.LittleEndian.Uint64(ev.Data[1:])
-			must(w.port.ProvideReceiveBuffer(64, gm.PriorityLow))
+			fail(w.port.ProvideReceiveBuffer(64, gm.PriorityLow))
 			switch {
 			case hop < n-1: // reduce lap
 				w.send(byte(hop+1), sum+w.local)
@@ -110,7 +129,7 @@ func main() {
 			buf := make([]byte, 9)
 			buf[0] = hop
 			binary.LittleEndian.PutUint64(buf[1:], sum)
-			must(w.port.Send(w.right, 1, gm.PriorityLow, buf, nil))
+			fail(w.port.Send(w.right, 1, gm.PriorityLow, buf, nil))
 		}
 	}
 
@@ -136,7 +155,7 @@ func main() {
 	launch()
 
 	deadline := cluster.Now() + 120*gm.Second
-	for cluster.Now() < deadline {
+	for cluster.Now() < deadline && failed == nil {
 		cluster.Run(500 * gm.Millisecond)
 		doneAll := true
 		for _, w := range workers {
@@ -149,6 +168,9 @@ func main() {
 		}
 	}
 
+	if failed != nil {
+		return failed
+	}
 	ok := true
 	for _, w := range workers {
 		if len(w.results) < *rounds {
@@ -163,22 +185,16 @@ func main() {
 			}
 		}
 	}
-	if ok {
-		fmt.Printf("all %d ranks agree on the sum %d across %d rounds", *nodes, expect, *rounds)
-		if *inject {
-			fmt.Printf(" — despite an interface hang mid-job")
-		}
-		fmt.Println()
-	} else {
-		fmt.Println("JOB FAILED")
+	if !ok {
+		return errors.New("JOB FAILED")
 	}
+	fmt.Printf("all %d ranks agree on the sum %d across %d rounds", *nodes, expect, *rounds)
+	if *inject {
+		fmt.Printf(" — despite an interface hang mid-job")
+	}
+	fmt.Println()
+	return nil
 }
 
 // send forwards a (hop, sum) token to the right neighbor.
 func (w *worker) send(hop byte, sum uint64) { w.sendFn(hop, sum) }
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}

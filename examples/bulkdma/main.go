@@ -9,9 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"repro/gm"
 )
@@ -19,8 +20,18 @@ import (
 const blockSize = 8192
 
 func main() {
-	blocks := flag.Int("blocks", 64, "checkpoint blocks to stage")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "bulkdma:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("bulkdma", flag.ContinueOnError)
+	blocks := fs.Int("blocks", 64, "checkpoint blocks to stage")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := gm.DefaultConfig(gm.ModeFTGM)
 	cfg.Host.SendTokens = 256
@@ -28,26 +39,35 @@ func main() {
 	compute := cluster.AddNode("compute")
 	storage := cluster.AddNode("storage")
 	sw := cluster.AddSwitch("sw")
-	must(cluster.Connect(compute, sw, 0))
-	must(cluster.Connect(storage, sw, 1))
+	if err := errors.Join(cluster.Connect(compute, sw, 0), cluster.Connect(storage, sw, 1)); err != nil {
+		return err
+	}
 	if _, err := cluster.Boot(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	pc, err := compute.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
 	ps, err := storage.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
 
 	// The storage node pins one big region; its layout (one slot per
 	// block) is agreed out of band, as with real GM directed sends.
 	region, err := ps.RegisterMemory(uint32(*blocks) * blockSize)
-	must(err)
+	if err != nil {
+		return err
+	}
 
+	// failed keeps the first error raised inside a simulation callback.
+	var failed error
 	staged := 0
 	var stage func(i int)
 	stage = func(i int) {
-		if i >= *blocks {
+		if i >= *blocks || failed != nil {
 			return
 		}
 		block := make([]byte, blockSize)
@@ -56,13 +76,14 @@ func main() {
 		}
 		err := pc.DirectedSend(storage.ID(), 1, region.ID, uint32(i*blockSize), block,
 			func(s gm.SendStatus) {
-				if s != gm.SendOK {
-					log.Fatalf("block %d failed: %v", i, s)
+				if s != gm.SendOK && failed == nil {
+					failed = fmt.Errorf("block %d failed: %v", i, s)
 				}
 				staged++
 			})
 		if err != nil {
-			log.Fatalf("block %d: %v", i, err)
+			failed = fmt.Errorf("block %d: %w", i, err)
+			return
 		}
 		cluster.After(300*gm.Microsecond, func() { stage(i + 1) })
 	}
@@ -78,8 +99,11 @@ func main() {
 		fmt.Printf("t=%v  recovered; staging resumes\n", cluster.Now())
 	}
 
-	for staged < *blocks && cluster.Now() < 60*gm.Second {
+	for staged < *blocks && failed == nil && cluster.Now() < 60*gm.Second {
 		cluster.Run(200 * gm.Millisecond)
+	}
+	if failed != nil {
+		return failed
 	}
 
 	// Verify the storage image.
@@ -94,15 +118,9 @@ func main() {
 	}
 	fmt.Printf("\nstaged %d/%d blocks (%d KB), corrupt blocks: %d\n",
 		staged, *blocks, staged*blockSize/1024, bad)
-	if staged == *blocks && bad == 0 {
-		fmt.Println("checkpoint image intact across the interface failure.")
-	} else {
-		fmt.Println("STAGING FAILED")
+	if staged != *blocks || bad != 0 {
+		return errors.New("STAGING FAILED")
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println("checkpoint image intact across the interface failure.")
+	return nil
 }

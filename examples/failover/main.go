@@ -12,16 +12,27 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"repro/gm"
 )
 
 func main() {
-	messages := flag.Int("messages", 300, "messages to stream")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "failover:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("failover", flag.ContinueOnError)
+	messages := fs.Int("messages", 300, "messages to stream")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := gm.DefaultConfig(gm.ModeFTGM)
 	cfg.Host.SendTokens = 1024 // deep pool: tokens stay out during the outage
@@ -29,16 +40,28 @@ func main() {
 	sender := cluster.AddNode("sender")
 	receiver := cluster.AddNode("receiver")
 	sw := cluster.AddSwitch("sw")
-	must(cluster.Connect(sender, sw, 0))
-	must(cluster.Connect(receiver, sw, 1))
+	if err := errors.Join(cluster.Connect(sender, sw, 0), cluster.Connect(receiver, sw, 1)); err != nil {
+		return err
+	}
 	if _, err := cluster.Boot(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ps, err := sender.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
 	pr, err := receiver.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
+	// failed keeps the first error raised inside a simulation callback.
+	var failed error
+	fail := func(err error) {
+		if err != nil && failed == nil {
+			failed = err
+		}
+	}
 
 	// The receiving application: audit order and exactly-once delivery.
 	var delivered, dups, gaps int
@@ -55,24 +78,27 @@ func main() {
 			next = id + 1
 		}
 		delivered++
-		must(pr.ProvideReceiveBuffer(64, gm.PriorityLow))
+		fail(pr.ProvideReceiveBuffer(64, gm.PriorityLow))
 	})
 	for i := 0; i < 64; i++ {
-		must(pr.ProvideReceiveBuffer(64, gm.PriorityLow))
+		if err := pr.ProvideReceiveBuffer(64, gm.PriorityLow); err != nil {
+			return err
+		}
 	}
 
 	// The sending application: one numbered message every 100 µs.
 	sent := 0
 	var pump func()
 	pump = func() {
-		if sent >= *messages {
+		if sent >= *messages || failed != nil {
 			return
 		}
 		sent++
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, uint64(sent))
 		if err := ps.Send(receiver.ID(), 1, gm.PriorityLow, buf, nil); err != nil {
-			log.Fatalf("send %d: %v", sent, err)
+			fail(fmt.Errorf("send %d: %w", sent, err))
+			return
 		}
 		cluster.After(100*gm.Microsecond, pump)
 	}
@@ -92,22 +118,19 @@ func main() {
 	}
 
 	// Run until everything has drained.
-	for delivered < *messages && cluster.Now() < 60*gm.Second {
+	for delivered < *messages && failed == nil && cluster.Now() < 60*gm.Second {
 		cluster.Run(100 * gm.Millisecond)
 	}
 
+	if failed != nil {
+		return failed
+	}
 	fmt.Printf("\nsent %d, delivered %d, duplicates %d, order gaps %d\n",
 		sent, delivered, dups, gaps)
-	if delivered == *messages && dups == 0 && gaps == 0 {
-		fmt.Println("exactly-once, in-order delivery across the interface failure — the")
-		fmt.Println("application above contains no fault-handling code at all.")
-	} else {
-		fmt.Println("AUDIT FAILED")
+	if delivered != *messages || dups != 0 || gaps != 0 {
+		return errors.New("AUDIT FAILED")
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println("exactly-once, in-order delivery across the interface failure — the")
+	fmt.Println("application above contains no fault-handling code at all.")
+	return nil
 }

@@ -9,29 +9,40 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"repro/gm"
 )
 
 func main() {
-	rounds := flag.Int("rounds", 100, "ping-pong rounds per size")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "pingpong:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("pingpong", flag.ContinueOnError)
+	rounds := fs.Int("rounds", 100, "ping-pong rounds per size")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sizes := []int{1, 16, 64, 100, 1024, 4096, 16384}
 	fmt.Printf("%-10s  %14s  %14s  %10s\n", "bytes", "GM half-RTT", "FTGM half-RTT", "overhead")
 	for _, size := range sizes {
 		gmLat, err := measure(gm.ModeGM, size, *rounds)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ftLat, err := measure(gm.ModeFTGM, size, *rounds)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("%-10d  %12.2fus  %12.2fus  %8.2fus\n",
 			size, gmLat.Micros(), ftLat.Micros(), (ftLat - gmLat).Micros())
 	}
+	return nil
 }
 
 func measure(mode gm.Mode, size, rounds int) (gm.Duration, error) {
@@ -57,6 +68,13 @@ func measure(mode gm.Mode, size, rounds int) (gm.Duration, error) {
 		return 0, err
 	}
 
+	// failed keeps the first error raised inside a simulation callback.
+	var failed error
+	fail := func(err error) {
+		if err != nil && failed == nil {
+			failed = err
+		}
+	}
 	payload := make([]byte, size)
 	var totalRTT gm.Duration
 	var start gm.Time
@@ -64,8 +82,8 @@ func measure(mode gm.Mode, size, rounds int) (gm.Duration, error) {
 
 	// Bob echoes every ping straight back.
 	pb.SetReceiveHandler(func(ev gm.RecvEvent) {
-		must(pb.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
-		must(pb.Send(a.ID(), 1, gm.PriorityLow, payload, nil))
+		fail(pb.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
+		fail(pb.Send(a.ID(), 1, gm.PriorityLow, payload, nil))
 	})
 	// Alice times each full round trip and starts the next.
 	pa.SetReceiveHandler(func(ev gm.RecvEvent) {
@@ -73,24 +91,21 @@ func measure(mode gm.Mode, size, rounds int) (gm.Duration, error) {
 		done++
 		if done < rounds {
 			start = cluster.Now()
-			must(pa.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
-			must(pa.Send(b.ID(), 1, gm.PriorityLow, payload, nil))
+			fail(pa.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
+			fail(pa.Send(b.ID(), 1, gm.PriorityLow, payload, nil))
 		}
 	})
 
-	must(pa.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
-	must(pb.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
+	fail(pa.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
+	fail(pb.ProvideReceiveBuffer(uint32(size)+16, gm.PriorityLow))
 	start = cluster.Now()
-	must(pa.Send(b.ID(), 1, gm.PriorityLow, payload, nil))
+	fail(pa.Send(b.ID(), 1, gm.PriorityLow, payload, nil))
 
-	for done < rounds {
+	for done < rounds && failed == nil {
 		cluster.Run(10 * gm.Millisecond)
 	}
-	return totalRTT / gm.Duration(2*rounds), nil
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
+	if failed != nil {
+		return 0, failed
 	}
+	return totalRTT / gm.Duration(2*rounds), nil
 }

@@ -12,16 +12,27 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"os"
 
 	"repro/gm"
 )
 
 func main() {
-	frames := flag.Int("frames", 400, "telemetry frames in the pass")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "telemetry:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("telemetry", flag.ContinueOnError)
+	frames := fs.Int("frames", 400, "telemetry frames in the pass")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := gm.DefaultConfig(gm.ModeFTGM)
 	cfg.Host.SendTokens = 2048
@@ -29,21 +40,33 @@ func main() {
 	sensor := cluster.AddNode("sensor")
 	recorder := cluster.AddNode("recorder")
 	sw := cluster.AddSwitch("backplane")
-	must(cluster.Connect(sensor, sw, 0))
-	must(cluster.Connect(recorder, sw, 1))
+	if err := errors.Join(cluster.Connect(sensor, sw, 0), cluster.Connect(recorder, sw, 1)); err != nil {
+		return err
+	}
 	if _, err := cluster.Boot(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	sp, err := sensor.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
 	rp, err := recorder.OpenPort(1)
-	must(err)
+	if err != nil {
+		return err
+	}
 	sp.EnablePolling()
 	rp.EnablePolling()
+	// failed keeps the first error raised inside a simulation callback.
+	var failed error
+	fail := func(err error) {
+		if err != nil && failed == nil {
+			failed = err
+		}
+	}
 	for i := 0; i < 64; i++ {
-		must(sp.ProvideReceiveBuffer(64, gm.PriorityLow))
-		must(rp.ProvideReceiveBuffer(128, gm.PriorityLow))
+		fail(sp.ProvideReceiveBuffer(64, gm.PriorityLow))
+		fail(rp.ProvideReceiveBuffer(128, gm.PriorityLow))
 	}
 
 	// Recorder application: a pure Figure 3 poll loop. Record frames,
@@ -63,11 +86,11 @@ func main() {
 				id := binary.LittleEndian.Uint64(ev.Data)
 				recorded[id]++
 				lastFrame = id
-				must(rp.ProvideReceiveBuffer(128, gm.PriorityLow))
+				fail(rp.ProvideReceiveBuffer(128, gm.PriorityLow))
 				if id%50 == 0 {
 					cmd := make([]byte, 8)
 					binary.LittleEndian.PutUint64(cmd, id)
-					must(rp.Send(sensor.ID(), 1, gm.PriorityLow, cmd, nil))
+					fail(rp.Send(sensor.ID(), 1, gm.PriorityLow, cmd, nil))
 				}
 			default:
 				rp.UnknownEvent(ev) // gm_unknown()
@@ -92,7 +115,7 @@ func main() {
 			switch ev.Type {
 			case gm.EvReceived:
 				uplinks = append(uplinks, binary.LittleEndian.Uint64(ev.Data))
-				must(sp.ProvideReceiveBuffer(64, gm.PriorityLow))
+				fail(sp.ProvideReceiveBuffer(64, gm.PriorityLow))
 			default:
 				sp.UnknownEvent(ev)
 			}
@@ -101,7 +124,7 @@ func main() {
 			sent++
 			frame := make([]byte, 32)
 			binary.LittleEndian.PutUint64(frame, uint64(sent))
-			must(sp.Send(recorder.ID(), 1, gm.PriorityLow, frame, nil))
+			fail(sp.Send(recorder.ID(), 1, gm.PriorityLow, frame, nil))
 		}
 		cluster.After(250*gm.Microsecond, sensorLoop)
 	}
@@ -125,10 +148,13 @@ func main() {
 		}
 	}
 
-	for (len(recorded) < *frames || seus < 2) && cluster.Now() < 120*gm.Second {
+	for (len(recorded) < *frames || seus < 2) && failed == nil && cluster.Now() < 120*gm.Second {
 		cluster.Run(500 * gm.Millisecond)
 	}
 	cluster.Run(3 * gm.Second) // let the final recovery land
+	if failed != nil {
+		return failed
+	}
 
 	dups := 0
 	for _, n := range recorded {
@@ -138,15 +164,9 @@ func main() {
 	}
 	fmt.Printf("\npass complete: %d/%d frames recorded, %d duplicates, last frame %d, %d command uplinks\n",
 		len(recorded), *frames, dups, lastFrame, len(uplinks))
-	if len(recorded) == *frames && dups == 0 {
-		fmt.Println("telemetry intact across both upsets; neither application ever saw a fault.")
-	} else {
-		fmt.Println("PASS DEGRADED")
+	if len(recorded) != *frames || dups != 0 {
+		return errors.New("PASS DEGRADED")
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println("telemetry intact across both upsets; neither application ever saw a fault.")
+	return nil
 }

@@ -111,22 +111,22 @@ func (s *streamAudit) failedUndelivered() uint64 {
 // or campaign. A clean FTGM run has Delivered == Sent and every defect
 // counter at zero.
 type AuditReport struct {
-	Streams    int
-	Sent       uint64
-	Delivered  uint64 // delivery events, duplicates included
-	Unique     uint64 // distinct message indices delivered
-	Duplicates uint64
-	OutOfOrder uint64
-	Lost       uint64 // sent but never delivered (and not excused by Failed)
-	Failed     uint64 // sends that completed with a terminal error status
-	Excused    uint64 // undelivered sends of an ExcuseSource'd (dead) sender
-	Corrupt    uint64 // unbranded/damaged payloads or sender identity mismatch
+	Streams    int    `json:"streams"`
+	Sent       uint64 `json:"sent"`
+	Delivered  uint64 `json:"delivered"` // delivery events, duplicates included
+	Unique     uint64 `json:"unique"`    // distinct message indices delivered
+	Duplicates uint64 `json:"duplicates"`
+	OutOfOrder uint64 `json:"out_of_order"`
+	Lost       uint64 `json:"lost"`    // sent but never delivered (and not excused by Failed)
+	Failed     uint64 `json:"failed"`  // sends that completed with a terminal error status
+	Excused    uint64 `json:"excused"` // undelivered sends of an ExcuseSource'd (dead) sender
+	Corrupt    uint64 `json:"corrupt"` // unbranded/damaged payloads or sender identity mismatch
 	// ExactlyOnceInOrder is the tentpole assertion: every sent message
 	// delivered exactly once, in per-stream order, undamaged.
-	ExactlyOnceInOrder bool
+	ExactlyOnceInOrder bool `json:"exactly_once_in_order"`
 	// Dirty lists the defective streams ("src:port->dst:port defect=n"),
 	// sorted, for diagnosis.
-	Dirty []string
+	Dirty []string `json:"dirty,omitempty"`
 }
 
 func (r AuditReport) String() string {

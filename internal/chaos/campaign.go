@@ -49,81 +49,131 @@ func DefaultCampaignConfig() CampaignConfig {
 // of (campaign seed, trial index): the determinism tests compare them
 // bit-for-bit across worker counts.
 type TrialResult struct {
-	Trial  int
-	Events []Event
-	Audit  AuditReport
+	Trial  int         `json:"trial"`
+	Events []Event     `json:"events"`
+	Audit  AuditReport `json:"audit"`
+	Counters
+}
 
+// Counters is the activity a trial harvests from its cluster, and — summed
+// by merge — a campaign's. Every counter is a plain sum except
+// PeriodicMaxPause, which keeps the worst pause observed.
+type Counters struct {
 	// FTD activity summed over all nodes (zero in GM mode).
-	Recoveries       uint64
-	FalseAlarms      uint64
-	ReloadRetries    uint64
-	RecoveryRestarts uint64
-	RecoveryFailures uint64
-	SuppressedFatals uint64
-	NaiveRestarts    uint64
+	Recoveries       uint64 `json:"recoveries"`
+	FalseAlarms      uint64 `json:"false_alarms"`
+	ReloadRetries    uint64 `json:"reload_retries"`
+	RecoveryRestarts uint64 `json:"recovery_restarts"`
+	RecoveryFailures uint64 `json:"recovery_failures"`
+	SuppressedFatals uint64 `json:"suppressed_fatals"`
+	NaiveRestarts    uint64 `json:"naive_restarts"`
 
 	// Fabric damage totals.
-	FaultDrops      uint64 // packets eaten by injected link profiles
-	Corruptions     uint64 // payload bit flips injected on links
-	SwitchDeadDrops uint64 // packets into dead ports / downed links
+	FaultDrops      uint64 `json:"fault_drops"`       // packets eaten by injected link profiles
+	Corruptions     uint64 `json:"corruptions"`       // payload bit flips injected on links
+	SwitchDeadDrops uint64 `json:"switch_dead_drops"` // packets into dead ports / downed links
 
-	Retransmits uint64 // Go-Back-N repair work across all nodes
+	Retransmits uint64 `json:"retransmits"` // Go-Back-N repair work across all nodes
 
 	// Network-fault activity: detection counters are live in every FTGM
 	// trial; the watchdog counters are zero unless TrialConfig.NetWatch.
-	NetFaultSuspicions uint64 // MCP path-health reports raised to hosts
-	NetFaultReports    uint64 // NET_FAULT_SUSPECTED interrupts drivers forwarded
-	UnreachableFails   uint64 // sends terminally failed against expelled peers
-	NetSuspicions      uint64 // watchdog: suspicion reports received
-	NetIncidents       uint64 // watchdog: debounce windows opened
-	NetRemaps          uint64 // watchdog: successful automatic remaps
-	NetRemapFailures   uint64 // watchdog: remap attempts that failed
-	NetProbes          uint64 // watchdog: readmission probes while peers expelled
-	NetUnreachable     uint64 // watchdog: peers expelled as unreachable
-	NetReadmissions    uint64 // watchdog: expelled peers readmitted
+	NetFaultSuspicions uint64 `json:"net_fault_suspicions"` // MCP path-health reports raised to hosts
+	NetFaultReports    uint64 `json:"net_fault_reports"`    // NET_FAULT_SUSPECTED interrupts drivers forwarded
+	UnreachableFails   uint64 `json:"unreachable_fails"`    // sends terminally failed against expelled peers
+	NetSuspicions      uint64 `json:"net_suspicions"`       // watchdog: suspicion reports received
+	NetIncidents       uint64 `json:"net_incidents"`        // watchdog: debounce windows opened
+	NetRemaps          uint64 `json:"net_remaps"`           // watchdog: successful automatic remaps
+	NetRemapFailures   uint64 `json:"net_remap_failures"`   // watchdog: remap attempts that failed
+	NetProbes          uint64 `json:"net_probes"`           // watchdog: readmission probes while peers expelled
+	NetUnreachable     uint64 `json:"net_unreachable"`      // watchdog: peers expelled as unreachable
+	NetReadmissions    uint64 `json:"net_readmissions"`     // watchdog: expelled peers readmitted
 
 	// Gossip-plane activity, summed over all agents (zero unless
 	// TrialConfig.ControlPlane is gm.ControlPlaneGossip).
-	GossipProbes       uint64 // direct pings launched
-	GossipSuspicions   uint64 // local probe-failure suspicions raised
-	GossipDeadDeclared uint64 // dead verdicts recorded (local + adopted)
-	GossipReadmissions uint64 // dead members welcomed back
+	GossipProbes       uint64 `json:"gossip_probes"`        // direct pings launched
+	GossipSuspicions   uint64 `json:"gossip_suspicions"`    // local probe-failure suspicions raised
+	GossipDeadDeclared uint64 `json:"gossip_dead_declared"` // dead verdicts recorded (local + adopted)
+	GossipReadmissions uint64 `json:"gossip_readmissions"`  // dead members welcomed back
 	// End-of-trial convergence defects, judged over the nodes still
 	// running: a live node marked dead by a live node's agent, and a live
 	// node missing from a live node's installed route table. A healthy
 	// gossip trial ends with both at zero — distributed agreement expelled
 	// exactly the dead, and every survivor rebuilt a full route set.
-	GossipLiveExpelled uint64
-	GossipRouteGaps    uint64
+	GossipLiveExpelled uint64 `json:"gossip_live_expelled"`
+	GossipRouteGaps    uint64 `json:"gossip_route_gaps"`
 
 	// Host-death activity (KindHostDeath / KindMapperRebirth trials).
-	Checkpoints     uint64 // recovery anchors serialized at a drain boundary
-	CheckpointBytes uint64 // total encoded checkpoint size
-	HostRestores    uint64 // completed same-epoch restores (KindHostDeath)
-	HostRejoins     uint64 // completed post-expulsion rejoins (KindMapperRebirth)
+	Checkpoints     uint64 `json:"checkpoints"`      // recovery anchors serialized at a drain boundary
+	CheckpointBytes uint64 `json:"checkpoint_bytes"` // total encoded checkpoint size
+	HostRestores    uint64 `json:"host_restores"`    // completed same-epoch restores (KindHostDeath)
+	HostRejoins     uint64 `json:"host_rejoins"`     // completed post-expulsion rejoins (KindMapperRebirth)
 
 	// Incremental-checkpoint activity (KindPeriodicDeath trials): frames
 	// shipped by the victims' periodic checkpointers, the bounded-drain
 	// accounting, and the chain-replay verification verdict (a mismatch
 	// means ReplayChain over the shipped frames did not re-encode
 	// bit-identical to a fresh full checkpoint at the kill instant).
-	PeriodicFrames          uint64
-	PeriodicBytes           uint64
-	PeriodicSkips           uint64
-	PeriodicMaxPause        sim.Duration
-	PeriodicChainMismatches uint64
+	PeriodicFrames          uint64       `json:"periodic_frames"`
+	PeriodicBytes           uint64       `json:"periodic_bytes"`
+	PeriodicSkips           uint64       `json:"periodic_skips"`
+	PeriodicMaxPause        sim.Duration `json:"periodic_max_pause_ns"`
+	PeriodicChainMismatches uint64       `json:"periodic_chain_mismatches"`
+}
+
+// merge folds another trial's counters into c.
+func (c *Counters) merge(o Counters) {
+	c.Recoveries += o.Recoveries
+	c.FalseAlarms += o.FalseAlarms
+	c.ReloadRetries += o.ReloadRetries
+	c.RecoveryRestarts += o.RecoveryRestarts
+	c.RecoveryFailures += o.RecoveryFailures
+	c.SuppressedFatals += o.SuppressedFatals
+	c.NaiveRestarts += o.NaiveRestarts
+	c.FaultDrops += o.FaultDrops
+	c.Corruptions += o.Corruptions
+	c.SwitchDeadDrops += o.SwitchDeadDrops
+	c.Retransmits += o.Retransmits
+	c.NetFaultSuspicions += o.NetFaultSuspicions
+	c.NetFaultReports += o.NetFaultReports
+	c.UnreachableFails += o.UnreachableFails
+	c.NetSuspicions += o.NetSuspicions
+	c.NetIncidents += o.NetIncidents
+	c.NetRemaps += o.NetRemaps
+	c.NetRemapFailures += o.NetRemapFailures
+	c.NetProbes += o.NetProbes
+	c.NetUnreachable += o.NetUnreachable
+	c.NetReadmissions += o.NetReadmissions
+	c.GossipProbes += o.GossipProbes
+	c.GossipSuspicions += o.GossipSuspicions
+	c.GossipDeadDeclared += o.GossipDeadDeclared
+	c.GossipReadmissions += o.GossipReadmissions
+	c.GossipLiveExpelled += o.GossipLiveExpelled
+	c.GossipRouteGaps += o.GossipRouteGaps
+	c.Checkpoints += o.Checkpoints
+	c.CheckpointBytes += o.CheckpointBytes
+	c.HostRestores += o.HostRestores
+	c.HostRejoins += o.HostRejoins
+	c.PeriodicFrames += o.PeriodicFrames
+	c.PeriodicBytes += o.PeriodicBytes
+	c.PeriodicSkips += o.PeriodicSkips
+	if o.PeriodicMaxPause > c.PeriodicMaxPause {
+		c.PeriodicMaxPause = o.PeriodicMaxPause
+	}
+	c.PeriodicChainMismatches += o.PeriodicChainMismatches
 }
 
 // CampaignResult aggregates a campaign.
 type CampaignResult struct {
-	Seed        uint64
-	Mode        string
-	Trials      []TrialResult
-	Total       AuditReport
-	CleanTrials int
+	Seed        uint64        `json:"seed"`
+	Mode        string        `json:"mode"`
+	Trials      []TrialResult `json:"-"`
+	Total       AuditReport   `json:"total"`
+	CleanTrials int           `json:"clean_trials"`
 	// AllExactlyOnce is the campaign verdict: every trial's auditor
 	// reported exactly-once in-order delivery.
-	AllExactlyOnce bool
+	AllExactlyOnce bool `json:"all_exactly_once"`
+	// Counters sums the trials' counters.
+	Counters Counters `json:"counters"`
 }
 
 // Run executes the campaign. Trial i derives its generator from
@@ -151,6 +201,7 @@ func AssembleCampaign(seed uint64, mode gm.Mode, trials []TrialResult) CampaignR
 	res := CampaignResult{Seed: seed, Mode: modeName(mode), Trials: trials, AllExactlyOnce: true}
 	for _, tr := range trials {
 		res.Total.merge(tr.Audit)
+		res.Counters.merge(tr.Counters)
 		if tr.Audit.ExactlyOnceInOrder {
 			res.CleanTrials++
 		} else {

@@ -42,19 +42,12 @@ func TestFTGMCampaignExactlyOnceInOrder(t *testing.T) {
 	}
 	// The plan must actually have exercised every fault class.
 	kinds := make(map[EventKind]bool)
-	var rec TrialResult
 	for _, tr := range res.Trials {
 		for _, ev := range tr.Events {
 			kinds[ev.Kind] = true
 		}
-		rec.Recoveries += tr.Recoveries
-		rec.RecoveryRestarts += tr.RecoveryRestarts
-		rec.ReloadRetries += tr.ReloadRetries
-		rec.FaultDrops += tr.FaultDrops
-		rec.Corruptions += tr.Corruptions
-		rec.Retransmits += tr.Retransmits
-		rec.RecoveryFailures += tr.RecoveryFailures
 	}
+	rec := res.Counters
 	for _, k := range AllKinds() {
 		if !kinds[k] {
 			t.Errorf("fault class %v never injected", k)
@@ -264,14 +257,7 @@ func TestNetFaultCampaignFailoverExactlyOnce(t *testing.T) {
 		}
 		t.Fatalf("netfault audit dirty: %v", res.Total)
 	}
-	var sum TrialResult
-	for _, tr := range res.Trials {
-		sum.NetFaultSuspicions += tr.NetFaultSuspicions
-		sum.NetSuspicions += tr.NetSuspicions
-		sum.NetRemaps += tr.NetRemaps
-		sum.NetUnreachable += tr.NetUnreachable
-		sum.UnreachableFails += tr.UnreachableFails
-	}
+	sum := res.Counters
 	if sum.NetFaultSuspicions == 0 || sum.NetSuspicions == 0 {
 		t.Errorf("no path-fault suspicions raised: %+v", sum)
 	}
@@ -463,5 +449,37 @@ func TestCampaignMapperDeathInvariance(t *testing.T) {
 					i, shards, base.Trials[i], shards, got.Trials[i])
 			}
 		}
+	}
+}
+
+// TestAssembleCampaignCounters: the campaign's Counters are the per-trial
+// counters summed field by field, except PeriodicMaxPause, which keeps the
+// worst pause. Every field is set, so a counter merge forgets shows up.
+func TestAssembleCampaignCounters(t *testing.T) {
+	trials := make([]TrialResult, 2)
+	for i := range trials {
+		v := reflect.ValueOf(&trials[i].Counters).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			if fv := v.Field(f); fv.Kind() == reflect.Uint64 {
+				fv.SetUint(uint64((i + 1) * (f + 1)))
+			}
+		}
+	}
+	trials[0].PeriodicMaxPause = 7 * sim.Microsecond
+	trials[1].PeriodicMaxPause = 3 * sim.Microsecond
+
+	got := AssembleCampaign(testSeed, gm.ModeFTGM, trials).Counters
+	gv := reflect.ValueOf(got)
+	for f := 0; f < gv.NumField(); f++ {
+		name := gv.Type().Field(f).Name
+		if name == "PeriodicMaxPause" {
+			continue
+		}
+		if want := uint64(3 * (f + 1)); gv.Field(f).Uint() != want {
+			t.Errorf("%s = %d, want the sum %d", name, gv.Field(f).Uint(), want)
+		}
+	}
+	if got.PeriodicMaxPause != 7*sim.Microsecond {
+		t.Errorf("PeriodicMaxPause = %v, want the larger 7µs", got.PeriodicMaxPause)
 	}
 }

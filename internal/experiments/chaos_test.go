@@ -21,15 +21,15 @@ func TestChaosComparison(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byMode := map[string]chaos.CampaignResult{}
+	byLabel := map[string]chaos.CampaignResult{}
 	for _, r := range results {
-		byMode[r.Mode] = r
+		byLabel[r.Label] = r.Campaign
 	}
-	if byMode["GM"].AllExactlyOnce {
+	if byLabel["GM"].AllExactlyOnce {
 		t.Error("stock GM survived the chaos plan unscathed")
 	}
-	if !byMode["FTGM"].AllExactlyOnce {
-		t.Errorf("FTGM audit dirty: %v", byMode["FTGM"].Total)
+	if !byLabel["FTGM"].AllExactlyOnce {
+		t.Errorf("FTGM audit dirty: %v", byLabel["FTGM"].Total)
 	}
 	out := RenderChaos(results)
 	for _, want := range []string{"GM", "FTGM", "BROKEN", "exactly-once in-order"} {

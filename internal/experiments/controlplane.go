@@ -8,51 +8,17 @@ import (
 	"repro/internal/trace"
 )
 
-// ControlPlaneResult is one scheme's showing under the mapper-death
-// campaign.
-type ControlPlaneResult struct {
-	// Label names the scheme: FTGM, FTGM+central, or FTGM+gossip.
-	Label    string
-	Campaign chaos.CampaignResult
-	// Counters sums the trials' repair-plane activity.
-	Counters ControlPlaneCounters
-}
-
-// ControlPlaneCounters aggregates repair-plane activity over a campaign.
-// The central fields and the gossip fields are mutually exclusive by
-// construction — a trial runs one plane or the other.
-type ControlPlaneCounters struct {
-	Remaps      uint64 // central: successful automatic remaps
-	Unreachable uint64 // central: peers expelled as unreachable
-
-	Probes       uint64 // gossip: direct pings launched
-	Suspicions   uint64 // gossip: local probe-failure suspicions
-	DeadDeclared uint64 // gossip: dead verdicts (local + adopted)
-	Readmissions uint64 // gossip: dead members welcomed back
-	LiveExpelled uint64 // gossip: live nodes wrongly marked dead at trial end
-	RouteGaps    uint64 // gossip: live peers missing from survivor route tables
-
-	FailedSends uint64 // sends terminally failed against expelled peers
-}
-
-// DeliveryRate is the fraction of accepted sends that arrived (duplicates
-// not counted).
-func (r ControlPlaneResult) DeliveryRate() float64 {
-	if r.Campaign.Total.Sent == 0 {
-		return 0
-	}
-	return float64(r.Campaign.Total.Unique) / float64(r.Campaign.Total.Sent)
-}
-
-// Verdict renders the scheme's outcome. The central watchdog's failure
-// mode is subtle: its audit can be vacuously clean because it terminally
-// failed the survivors' sends after expelling every live node, so a clean
-// audit only counts as recovery when no live node was expelled.
-func (r ControlPlaneResult) Verdict() string {
+// ControlPlaneVerdict renders a control-plane scheme's outcome. The
+// central watchdog's failure mode is subtle: its audit can be vacuously
+// clean because it terminally failed the survivors' sends after expelling
+// every live node, so a clean audit only counts as recovery when no live
+// node was expelled.
+func ControlPlaneVerdict(r SchemeResult) string {
+	c := r.Campaign.Counters
 	switch {
 	case !r.Campaign.AllExactlyOnce:
 		return "STALLED"
-	case r.Counters.Unreachable > 0 || r.Counters.LiveExpelled > 0:
+	case c.NetUnreachable > 0 || c.GossipLiveExpelled > 0:
 		return "SELF-DESTRUCTED"
 	default:
 		return "exactly-once in-order"
@@ -69,73 +35,46 @@ func (r ControlPlaneResult) Verdict() string {
 // unreachable. The gossip plane has no distinguished node — the survivors
 // expel exactly the dead member by distributed agreement, splice routes
 // among themselves, and keep delivery exactly-once in-order.
-func ControlPlaneComparison(seed uint64, cfg chaos.CampaignConfig) ([]ControlPlaneResult, error) {
+func ControlPlaneComparison(seed uint64, cfg chaos.CampaignConfig) ([]SchemeResult, error) {
 	cfg.Mode = gm.ModeFTGM
 	if len(cfg.Trial.Kinds) == 0 {
 		cfg.Trial.Kinds = []chaos.EventKind{chaos.KindMapperDeath}
 	}
-	schemes := []struct {
-		label string
-		watch bool
-		plane gm.ControlPlane
-	}{
-		{"FTGM", false, gm.ControlPlaneCentral},
-		{"FTGM+central", true, gm.ControlPlaneCentral},
-		{"FTGM+gossip", false, gm.ControlPlaneGossip},
-	}
-	results := make([]ControlPlaneResult, 0, len(schemes))
-	for _, s := range schemes {
-		cfg := cfg
-		cfg.Trial.NetWatch = s.watch
-		cfg.Trial.ControlPlane = s.plane
-		res, err := chaos.Run(seed, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cp := ControlPlaneResult{Label: s.label, Campaign: res}
-		for _, tr := range res.Trials {
-			cp.Counters.Remaps += tr.NetRemaps
-			cp.Counters.Unreachable += tr.NetUnreachable
-			cp.Counters.Probes += tr.GossipProbes
-			cp.Counters.Suspicions += tr.GossipSuspicions
-			cp.Counters.DeadDeclared += tr.GossipDeadDeclared
-			cp.Counters.Readmissions += tr.GossipReadmissions
-			cp.Counters.LiveExpelled += tr.GossipLiveExpelled
-			cp.Counters.RouteGaps += tr.GossipRouteGaps
-			cp.Counters.FailedSends += tr.UnreachableFails
-		}
-		results = append(results, cp)
-	}
-	return results, nil
+	cfg.Trial.NetWatch = false
+	cfg.Trial.ControlPlane = gm.ControlPlaneCentral
+	schemes := []Scheme{{"FTGM", cfg}, {"FTGM+central", cfg}, {"FTGM+gossip", cfg}}
+	schemes[1].Cfg.Trial.NetWatch = true
+	schemes[2].Cfg.Trial.ControlPlane = gm.ControlPlaneGossip
+	return runSchemes(seed, schemes)
 }
 
 // RenderControlPlane prints the comparison.
-func RenderControlPlane(results []ControlPlaneResult) string {
+func RenderControlPlane(results []SchemeResult) string {
 	t := trace.Table{
 		Title: "Control planes: the boot-time mapper dies mid-remap",
 		Headers: []string{"Scheme", "trials", "sent", "delivered", "rate",
 			"lost", "failed", "excused", "dead", "live-expelled", "verdict"},
 	}
 	for _, r := range results {
-		liveExpelled := r.Counters.Unreachable + r.Counters.LiveExpelled
+		c := r.Campaign
 		t.AddRow(r.Label,
-			fmt.Sprintf("%d", len(r.Campaign.Trials)),
-			fmt.Sprintf("%d", r.Campaign.Total.Sent),
-			fmt.Sprintf("%d", r.Campaign.Total.Unique),
+			fmt.Sprintf("%d", len(c.Trials)),
+			fmt.Sprintf("%d", c.Total.Sent),
+			fmt.Sprintf("%d", c.Total.Unique),
 			fmt.Sprintf("%.1f%%", 100*r.DeliveryRate()),
-			fmt.Sprintf("%d", r.Campaign.Total.Lost),
-			fmt.Sprintf("%d", r.Campaign.Total.Failed),
-			fmt.Sprintf("%d", r.Campaign.Total.Excused),
-			fmt.Sprintf("%d", r.Counters.DeadDeclared),
-			fmt.Sprintf("%d", liveExpelled),
-			r.Verdict())
+			fmt.Sprintf("%d", c.Total.Lost),
+			fmt.Sprintf("%d", c.Total.Failed),
+			fmt.Sprintf("%d", c.Total.Excused),
+			fmt.Sprintf("%d", c.Counters.GossipDeadDeclared),
+			fmt.Sprintf("%d", c.Counters.NetUnreachable+c.Counters.GossipLiveExpelled),
+			ControlPlaneVerdict(r))
 	}
 	out := t.Render()
 	for _, r := range results {
-		c := r.Counters
+		c := r.Campaign.Counters
 		out += fmt.Sprintf("\n%-13s remaps=%d unreachable=%d probes=%d suspicions=%d dead=%d readmitted=%d live-expelled=%d route-gaps=%d failed-sends=%d",
-			r.Label, c.Remaps, c.Unreachable, c.Probes, c.Suspicions,
-			c.DeadDeclared, c.Readmissions, c.LiveExpelled, c.RouteGaps, c.FailedSends)
+			r.Label, c.NetRemaps, c.NetUnreachable, c.GossipProbes, c.GossipSuspicions,
+			c.GossipDeadDeclared, c.GossipReadmissions, c.GossipLiveExpelled, c.GossipRouteGaps, c.UnreachableFails)
 	}
 	return out
 }

@@ -30,37 +30,37 @@ func TestControlPlaneComparison(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byLabel := map[string]ControlPlaneResult{}
+	byLabel := map[string]SchemeResult{}
 	for _, r := range results {
 		byLabel[r.Label] = r
 	}
 	g := byLabel["FTGM+gossip"]
-	if v := g.Verdict(); v != "exactly-once in-order" {
+	if v := ControlPlaneVerdict(g); v != "exactly-once in-order" {
 		t.Errorf("gossip verdict = %q: %v (dirty=%v)", v, g.Campaign.Total, g.Campaign.Total.Dirty)
 	}
-	if g.Counters.DeadDeclared == 0 {
+	if g.Campaign.Counters.GossipDeadDeclared == 0 {
 		t.Error("gossip never declared the dead mapper dead")
 	}
-	if g.Counters.LiveExpelled != 0 || g.Counters.RouteGaps != 0 {
-		t.Errorf("gossip convergence defects: %+v", g.Counters)
+	if g.Campaign.Counters.GossipLiveExpelled != 0 || g.Campaign.Counters.GossipRouteGaps != 0 {
+		t.Errorf("gossip convergence defects: %+v", g.Campaign.Counters)
 	}
 	c := byLabel["FTGM+central"]
-	if v := c.Verdict(); v != "SELF-DESTRUCTED" {
-		t.Errorf("central verdict = %q (want SELF-DESTRUCTED): %+v", v, c.Counters)
+	if v := ControlPlaneVerdict(c); v != "SELF-DESTRUCTED" {
+		t.Errorf("central verdict = %q (want SELF-DESTRUCTED): %+v", v, c.Campaign.Counters)
 	}
-	if c.Counters.Unreachable == 0 {
+	if c.Campaign.Counters.NetUnreachable == 0 {
 		t.Error("central watchdog expelled no one despite a dead mapper")
 	}
 	p := byLabel["FTGM"]
-	if v := p.Verdict(); v != "STALLED" {
+	if v := ControlPlaneVerdict(p); v != "STALLED" {
 		t.Errorf("plain FTGM verdict = %q (want STALLED): %v", v, p.Campaign.Total)
 	}
 	if p.Campaign.Total.Lost == 0 {
 		t.Errorf("no losses recorded on a stalled cluster: %v", p.Campaign.Total)
 	}
-	for _, r := range []ControlPlaneResult{p, c} {
-		if r.Counters.Probes != 0 {
-			t.Errorf("%s ran gossip agents in a central-plane trial: %+v", r.Label, r.Counters)
+	for _, r := range []SchemeResult{p, c} {
+		if r.Campaign.Counters.GossipProbes != 0 {
+			t.Errorf("%s ran gossip agents in a central-plane trial: %+v", r.Label, r.Campaign.Counters)
 		}
 		if r.DeliveryRate() > g.DeliveryRate() {
 			t.Errorf("%s delivery rate %.3f above gossip's %.3f",

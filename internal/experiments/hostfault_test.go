@@ -31,10 +31,10 @@ func TestHostFaultComparison(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byLabel := map[string]HostFaultResult{}
+	byLabel := map[string]SchemeResult{}
 	for _, r := range results {
 		byLabel[r.Label] = r
-		if v := r.Verdict(); v != "exactly-once in-order" {
+		if v := HostFaultVerdict(r); v != "exactly-once in-order" {
 			t.Errorf("%s verdict = %q: %v (dirty=%v)", r.Label, v,
 				r.Campaign.Total, r.Campaign.Total.Dirty)
 		}
@@ -43,48 +43,48 @@ func TestHostFaultComparison(t *testing.T) {
 			// stop-and-copy anchors.
 			continue
 		}
-		if r.Counters.Checkpoints == 0 || r.Counters.CheckpointBytes == 0 {
-			t.Errorf("%s never serialized a checkpoint: %+v", r.Label, r.Counters)
+		if r.Campaign.Counters.Checkpoints == 0 || r.Campaign.Counters.CheckpointBytes == 0 {
+			t.Errorf("%s never serialized a checkpoint: %+v", r.Label, r.Campaign.Counters)
 		}
-		if r.Counters.LiveExpelled != 0 || r.Counters.RouteGaps != 0 {
-			t.Errorf("%s membership damage: %+v", r.Label, r.Counters)
+		if r.Campaign.Counters.GossipLiveExpelled != 0 || r.Campaign.Counters.GossipRouteGaps != 0 {
+			t.Errorf("%s membership damage: %+v", r.Label, r.Campaign.Counters)
 		}
 	}
 	pc := byLabel["periodic+central"]
-	if pc.Counters.PeriodicFrames == 0 || pc.Counters.PeriodicBytes == 0 {
-		t.Errorf("periodic scheme shipped no incremental frames: %+v", pc.Counters)
+	if pc.Campaign.Counters.PeriodicFrames == 0 || pc.Campaign.Counters.PeriodicBytes == 0 {
+		t.Errorf("periodic scheme shipped no incremental frames: %+v", pc.Campaign.Counters)
 	}
-	if pc.Counters.ChainMismatches != 0 {
-		t.Errorf("periodic scheme chain replays diverged: %+v", pc.Counters)
+	if pc.Campaign.Counters.PeriodicChainMismatches != 0 {
+		t.Errorf("periodic scheme chain replays diverged: %+v", pc.Campaign.Counters)
 	}
 	// The bounded-drain contract: no partial drain may ever pause the victim
 	// longer than the configured budget (200µs in the chaos injector).
-	if pc.Counters.MaxDrainPause > 200*sim.Microsecond {
-		t.Errorf("periodic drain pause %v exceeded the 200µs budget", pc.Counters.MaxDrainPause)
+	if pc.Campaign.Counters.PeriodicMaxPause > 200*sim.Microsecond {
+		t.Errorf("periodic drain pause %v exceeded the 200µs budget", pc.Campaign.Counters.PeriodicMaxPause)
 	}
-	if pc.Counters.Restores == 0 {
-		t.Errorf("periodic scheme never restored from a chain: %+v", pc.Counters)
+	if pc.Campaign.Counters.HostRestores == 0 {
+		t.Errorf("periodic scheme never restored from a chain: %+v", pc.Campaign.Counters)
 	}
 	for _, label := range []string{"restore+central", "restore+gossip"} {
 		r := byLabel[label]
-		if r.Counters.Restores == 0 || r.Counters.Rejoins != 0 {
-			t.Errorf("%s revival mix wrong: %+v", label, r.Counters)
+		if r.Campaign.Counters.HostRestores == 0 || r.Campaign.Counters.HostRejoins != 0 {
+			t.Errorf("%s revival mix wrong: %+v", label, r.Campaign.Counters)
 		}
 		if r.Campaign.Total.Excused != 0 {
 			t.Errorf("%s excused %d sends; a restored host disowns nothing",
 				label, r.Campaign.Total.Excused)
 		}
-		if r.Counters.DeadDeclared != 0 {
+		if r.Campaign.Counters.GossipDeadDeclared != 0 {
 			t.Errorf("%s drew dead verdicts for an outage under the suspicion timeout: %+v",
-				label, r.Counters)
+				label, r.Campaign.Counters)
 		}
 	}
 	rb := byLabel["rebirth+gossip"]
-	if rb.Counters.Rejoins == 0 || rb.Counters.Restores != 0 {
-		t.Errorf("rebirth revival mix wrong: %+v", rb.Counters)
+	if rb.Campaign.Counters.HostRejoins == 0 || rb.Campaign.Counters.HostRestores != 0 {
+		t.Errorf("rebirth revival mix wrong: %+v", rb.Campaign.Counters)
 	}
-	if rb.Counters.DeadDeclared == 0 || rb.Counters.Readmissions == 0 {
-		t.Errorf("rebirth was never buried and readmitted: %+v", rb.Counters)
+	if rb.Campaign.Counters.GossipDeadDeclared == 0 || rb.Campaign.Counters.GossipReadmissions == 0 {
+		t.Errorf("rebirth was never buried and readmitted: %+v", rb.Campaign.Counters)
 	}
 	if rb.Campaign.Total.Excused == 0 {
 		t.Error("the reborn mapper's disowned in-flight sends were never excused")

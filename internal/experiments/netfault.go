@@ -8,38 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// NetFaultResult is one scheme's showing under the network-fault campaign.
-type NetFaultResult struct {
-	// Label names the scheme: GM, FTGM, or FTGM+netwatch.
-	Label    string
-	Campaign chaos.CampaignResult
-	// Counters sums the trials' network-fault activity.
-	Counters NetFaultCounters
-}
-
-// NetFaultCounters aggregates detection and watchdog activity over a
-// campaign.
-type NetFaultCounters struct {
-	Suspicions    uint64 // MCP path-health reports raised to hosts
-	Incidents     uint64 // watchdog debounce windows opened
-	Remaps        uint64 // successful automatic remaps
-	RemapFailures uint64
-	Probes        uint64 // readmission probes while peers were expelled
-	Unreachable   uint64 // peers expelled as unreachable
-	Readmissions  uint64
-	FailedSends   uint64 // sends terminally failed against expelled peers
-}
-
-// DeliveryRate is the fraction of accepted sends that arrived (duplicates
-// not counted): the headline number a dead trunk drags down when nothing
-// reroutes around it.
-func (r NetFaultResult) DeliveryRate() float64 {
-	if r.Campaign.Total.Sent == 0 {
-		return 0
-	}
-	return float64(r.Campaign.Total.Unique) / float64(r.Campaign.Total.Sent)
-}
-
 // NetworkFaultComparison runs the identical network-fault injection plan —
 // permanently dead inter-switch trunks and a full node partition on the
 // redundant dual-switch fabric — against stock GM, plain FTGM, and FTGM
@@ -47,74 +15,54 @@ func (r NetFaultResult) DeliveryRate() float64 {
 // riding the dead trunk stall (FTGM retransmits into the void; GM just
 // loses them) until the settle budget expires. The watchdog remaps onto
 // the surviving trunk and keeps delivery exactly-once.
-func NetworkFaultComparison(seed uint64, cfg chaos.CampaignConfig) ([]NetFaultResult, error) {
+func NetworkFaultComparison(seed uint64, cfg chaos.CampaignConfig) ([]SchemeResult, error) {
 	cfg.Trial.DualSwitch = true
 	if len(cfg.Trial.Kinds) == 0 {
 		cfg.Trial.Kinds = chaos.NetFaultKinds()
 	}
-	schemes := []struct {
-		label string
-		mode  gm.Mode
-		watch bool
-	}{
-		{"GM", gm.ModeGM, false},
-		{"FTGM", gm.ModeFTGM, false},
-		{"FTGM+netwatch", gm.ModeFTGM, true},
+	cfg.Trial.NetWatch = false
+	schemes := []Scheme{{"GM", cfg}, {"FTGM", cfg}, {"FTGM+netwatch", cfg}}
+	schemes[0].Cfg.Mode = gm.ModeGM
+	schemes[1].Cfg.Mode = gm.ModeFTGM
+	schemes[2].Cfg.Mode = gm.ModeFTGM
+	schemes[2].Cfg.Trial.NetWatch = true
+	return runSchemes(seed, schemes)
+}
+
+// NetFaultVerdict renders a network-fault scheme's outcome.
+func NetFaultVerdict(r SchemeResult) string {
+	if r.Campaign.AllExactlyOnce {
+		return "exactly-once in-order"
 	}
-	results := make([]NetFaultResult, 0, len(schemes))
-	for _, s := range schemes {
-		cfg := cfg
-		cfg.Mode = s.mode
-		cfg.Trial.NetWatch = s.watch
-		res, err := chaos.Run(seed, cfg)
-		if err != nil {
-			return nil, err
-		}
-		nf := NetFaultResult{Label: s.label, Campaign: res}
-		for _, tr := range res.Trials {
-			nf.Counters.Suspicions += tr.NetFaultSuspicions
-			nf.Counters.Incidents += tr.NetIncidents
-			nf.Counters.Remaps += tr.NetRemaps
-			nf.Counters.RemapFailures += tr.NetRemapFailures
-			nf.Counters.Probes += tr.NetProbes
-			nf.Counters.Unreachable += tr.NetUnreachable
-			nf.Counters.Readmissions += tr.NetReadmissions
-			nf.Counters.FailedSends += tr.UnreachableFails
-		}
-		results = append(results, nf)
-	}
-	return results, nil
+	return "STALLED"
 }
 
 // RenderNetFault prints the comparison.
-func RenderNetFault(results []NetFaultResult) string {
+func RenderNetFault(results []SchemeResult) string {
 	t := trace.Table{
 		Title: "Network faults: dead trunks and partitions on a dual-switch fabric",
 		Headers: []string{"Scheme", "trials", "sent", "delivered", "rate",
 			"lost", "failed", "remaps", "expelled", "verdict"},
 	}
 	for _, r := range results {
-		verdict := "STALLED"
-		if r.Campaign.AllExactlyOnce {
-			verdict = "exactly-once in-order"
-		}
+		c := r.Campaign
 		t.AddRow(r.Label,
-			fmt.Sprintf("%d", len(r.Campaign.Trials)),
-			fmt.Sprintf("%d", r.Campaign.Total.Sent),
-			fmt.Sprintf("%d", r.Campaign.Total.Unique),
+			fmt.Sprintf("%d", len(c.Trials)),
+			fmt.Sprintf("%d", c.Total.Sent),
+			fmt.Sprintf("%d", c.Total.Unique),
 			fmt.Sprintf("%.1f%%", 100*r.DeliveryRate()),
-			fmt.Sprintf("%d", r.Campaign.Total.Lost),
-			fmt.Sprintf("%d", r.Campaign.Total.Failed),
-			fmt.Sprintf("%d", r.Counters.Remaps),
-			fmt.Sprintf("%d", r.Counters.Unreachable),
-			verdict)
+			fmt.Sprintf("%d", c.Total.Lost),
+			fmt.Sprintf("%d", c.Total.Failed),
+			fmt.Sprintf("%d", c.Counters.NetRemaps),
+			fmt.Sprintf("%d", c.Counters.NetUnreachable),
+			NetFaultVerdict(r))
 	}
 	out := t.Render()
 	for _, r := range results {
-		c := r.Counters
+		c := r.Campaign.Counters
 		out += fmt.Sprintf("\n%-13s suspicions=%d incidents=%d remaps=%d remap-failures=%d probes=%d expelled=%d readmitted=%d failed-sends=%d",
-			r.Label, c.Suspicions, c.Incidents, c.Remaps, c.RemapFailures,
-			c.Probes, c.Unreachable, c.Readmissions, c.FailedSends)
+			r.Label, c.NetFaultSuspicions, c.NetIncidents, c.NetRemaps, c.NetRemapFailures,
+			c.NetProbes, c.NetUnreachable, c.NetReadmissions, c.UnreachableFails)
 	}
 	return out
 }

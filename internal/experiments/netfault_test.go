@@ -29,7 +29,7 @@ func TestNetworkFaultComparison(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byLabel := map[string]NetFaultResult{}
+	byLabel := map[string]SchemeResult{}
 	for _, r := range results {
 		byLabel[r.Label] = r
 	}
@@ -38,7 +38,7 @@ func TestNetworkFaultComparison(t *testing.T) {
 		t.Errorf("watchdog audit dirty: %v (dirty=%v)",
 			watch.Campaign.Total, watch.Campaign.Total.Dirty)
 	}
-	if watch.Counters.Remaps == 0 {
+	if watch.Campaign.Counters.NetRemaps == 0 {
 		t.Error("the watchdog never remapped")
 	}
 	for _, label := range []string{"GM", "FTGM"} {
@@ -50,8 +50,8 @@ func TestNetworkFaultComparison(t *testing.T) {
 			t.Errorf("%s delivery rate %.3f not below watchdog's %.3f",
 				label, r.DeliveryRate(), watch.DeliveryRate())
 		}
-		if r.Counters.Remaps != 0 {
-			t.Errorf("%s remapped without a watchdog: %+v", label, r.Counters)
+		if r.Campaign.Counters.NetRemaps != 0 {
+			t.Errorf("%s remapped without a watchdog: %+v", label, r.Campaign.Counters)
 		}
 	}
 	out := RenderNetFault(results)
