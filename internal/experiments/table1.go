@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -28,7 +27,15 @@ var paperTable1 = map[fault.Outcome][2]float64{
 // Table1 runs the fault-injection campaign: `runs` single-bit flips at
 // random positions in the assembled send_chunk section.
 func Table1(runs int, seed uint64) (Table1Result, error) {
-	c, err := fault.NewCampaign(seed)
+	return Table1Section(fault.SectionSend, runs, seed)
+}
+
+// Table1Section runs the campaign against any MCP section — the paper's
+// send_chunk or the receive path it only conjectures about ("these results
+// could be different if fault injection is carried out on some other
+// section of the code", §2).
+func Table1Section(section fault.Section, runs int, seed uint64) (Table1Result, error) {
+	c, err := fault.NewSectionCampaign(section, seed)
 	if err != nil {
 		return Table1Result{}, err
 	}
@@ -43,26 +50,6 @@ func Table1Exhaustive(seed uint64) (Table1Result, error) {
 		return Table1Result{}, err
 	}
 	return Table1Result{Campaign: c.Exhaustive()}, nil
-}
-
-// Table1Sections runs the campaign against both MCP sections — the paper's
-// send_chunk plus the receive path it only conjectures about ("these results
-// could be different if fault injection is carried out on some other
-// section of the code", §2). The two campaigns (golden run included) build
-// and run concurrently; each is deterministic in its own seed.
-func Table1Sections(runs int, seed uint64) (send, recv Table1Result, err error) {
-	sections := []fault.Section{fault.SectionSend, fault.SectionRecv}
-	res, err := parallel.Map(len(sections), 0, func(i int) (Table1Result, error) {
-		c, err := fault.NewSectionCampaign(sections[i], seed)
-		if err != nil {
-			return Table1Result{}, err
-		}
-		return Table1Result{Campaign: c.Run(runs)}, nil
-	})
-	if err != nil {
-		return send, recv, err
-	}
-	return res[0], res[1], nil
 }
 
 // RenderSections prints the two sections side by side.
