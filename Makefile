@@ -106,9 +106,10 @@ bench:
 	go run ./cmd/gmbench -mode bw,lat,netfault,controlplane,hostfault,scale,scale_mc \
 		-benchjson BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 
-# Bench smoke gate (tier1): every go-test benchmark runs once.
+# Bench smoke gate (tier1): every go-test benchmark runs once — the root
+# harness benchmarks and the internal/core shadow-store microbenchmarks.
 bench-short:
-	go test -bench=. -benchtime=1x -run=^$$ .
+	go test -bench=. -benchtime=1x -run=^$$ . ./internal/core/
 
 # Regression gate: compare two -benchjson files, fail on >10% allocs/op
 # regression in any shared section (ns/op differences only warn).

@@ -152,11 +152,9 @@ func (p *Port) SetSendCompletion(tokenID uint64, cb SendCallback) error {
 	if !p.open {
 		return ErrPortClosed
 	}
-	for _, t := range p.shadow.OutstandingSends() {
-		if t.ID == tokenID {
-			p.callbacks[tokenID] = cb
-			return nil
-		}
+	if p.shadow.HasSend(tokenID) {
+		p.callbacks[tokenID] = cb
+		return nil
 	}
 	return fmt.Errorf("%w: send token %d not outstanding", ErrBadArgument, tokenID)
 }

@@ -28,14 +28,15 @@ import (
 // behalf: "the user keeps a copy of the required LANai state that is not
 // implicitly stored in the host memory" (§4.1). The gm library updates it
 // on every send/receive call and consumes it in the FAULT_DETECTED handler.
+//
+// Every add and remove costs O(1) amortized, however long the port has
+// lived, and the token queues hold at most 2·outstanding+16 slots each: the
+// "two hash tables for every receive" of §5.1 stay constant-time work.
 type ShadowStore struct {
 	port gmproto.PortID
 
-	sendTokens map[uint64]gmproto.SendToken
-	sendOrder  []uint64
-
-	recvTokens map[uint64]gmproto.RecvToken
-	recvOrder  []uint64
+	sends tokenQueue[gmproto.SendToken]
+	recvs tokenQueue[gmproto.RecvToken]
 
 	// txSeq is the next host-generated sequence number per remote node and
 	// priority level: "independent streams of sequence numbers for each
@@ -52,11 +53,84 @@ type seqKey struct {
 // NewShadowStore returns an empty store for a port.
 func NewShadowStore(port gmproto.PortID) *ShadowStore {
 	return &ShadowStore{
-		port:       port,
-		sendTokens: make(map[uint64]gmproto.SendToken),
-		recvTokens: make(map[uint64]gmproto.RecvToken),
-		txSeq:      make(map[seqKey]uint32),
+		port:  port,
+		sends: newTokenQueue[gmproto.SendToken](),
+		recvs: newTokenQueue[gmproto.RecvToken](),
+		txSeq: make(map[seqKey]uint32),
 	}
+}
+
+// tokenQueue is an id-indexed token set that remembers posting order. byID
+// holds each outstanding token with its slot in order; order lists ids in
+// posting order but may also hold stale slots, left behind by removals: a
+// slot is live only if its id is outstanding and the entry points back at
+// it. A removal only deletes the entry, so neither add nor remove scans;
+// compact drops the stale slots in place once they outnumber the live ones
+// (plus slack), which keeps len(order) ≤ 2·len(byID)+16 after every call
+// and costs O(1) amortized per removal.
+type tokenQueue[T any] struct {
+	byID  map[uint64]queued[T]
+	order []uint64
+}
+
+type queued[T any] struct {
+	tok T
+	pos int // index of the token's live slot in order
+}
+
+// compactSlack is the number of stale slots tolerated beyond one per live
+// token, so a near-empty queue does not compact on every removal.
+const compactSlack = 16
+
+func newTokenQueue[T any]() tokenQueue[T] {
+	return tokenQueue[T]{byID: make(map[uint64]queued[T])}
+}
+
+// add records tok under id. An outstanding id is overwritten in place; any
+// other id — fresh, or re-added after a removal — goes to the back.
+func (q *tokenQueue[T]) add(id uint64, tok T) {
+	if e, dup := q.byID[id]; dup {
+		e.tok = tok
+		q.byID[id] = e
+		return
+	}
+	q.byID[id] = queued[T]{tok: tok, pos: len(q.order)}
+	q.order = append(q.order, id)
+}
+
+// remove drops id, leaving its slot stale until the next compaction.
+func (q *tokenQueue[T]) remove(id uint64) {
+	delete(q.byID, id)
+	if len(q.order) > 2*len(q.byID)+compactSlack {
+		q.compact()
+	}
+}
+
+// compact drops the stale slots from order in place, keeping posting order.
+func (q *tokenQueue[T]) compact() {
+	live := 0
+	for i, id := range q.order {
+		e, ok := q.byID[id]
+		if !ok || e.pos != i {
+			continue
+		}
+		if live != i {
+			e.pos = live
+			q.byID[id] = e
+			q.order[live] = id
+		}
+		live++
+	}
+	q.order = q.order[:live]
+}
+
+// appendLive appends the outstanding tokens to dst in posting order.
+func (q *tokenQueue[T]) appendLive(dst []T) []T {
+	q.compact()
+	for _, id := range q.order {
+		dst = append(dst, q.byID[id].tok)
+	}
+	return dst
 }
 
 // Port returns the owning port.
@@ -83,61 +157,35 @@ func (s *ShadowStore) ResetPeerSeqs(node gmproto.NodeID) {
 // AddSendToken records a token handed to the LANai; "when a call to any of
 // the gm_send() functions is made, a copy of the send token is added to the
 // queue" (§4.1). Re-adding an id that was removed places it at the back of
-// the queue (it is a fresh token that happens to reuse the id).
+// the queue (it is a fresh token that happens to reuse the id). O(1)
+// amortized.
 func (s *ShadowStore) AddSendToken(tok gmproto.SendToken) {
-	if _, dup := s.sendTokens[tok.ID]; !dup {
-		if hasID(s.sendOrder, tok.ID) {
-			s.sendOrder = scrubID(s.sendOrder, tok.ID)
-		}
-		s.sendOrder = append(s.sendOrder, tok.ID)
-	}
-	s.sendTokens[tok.ID] = tok
-}
-
-// hasID reports whether id occurs in order, so the common case — a fresh
-// id — appends without rewriting the order slice.
-func hasID(order []uint64, id uint64) bool {
-	for _, v := range order {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// scrubID drops stale occurrences of id left behind by a removal.
-func scrubID(order []uint64, id uint64) []uint64 {
-	out := order[:0]
-	for _, v := range order {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return out
+	s.sends.add(tok.ID, tok)
 }
 
 // RemoveSendToken drops the copy "just before the callback function for
-// that send token is invoked" (§4.1).
+// that send token is invoked" (§4.1). O(1) amortized.
 func (s *ShadowStore) RemoveSendToken(id uint64) {
-	delete(s.sendTokens, id)
+	s.sends.remove(id)
 }
 
-// AddRecvToken records a provided receive buffer.
+// HasSend reports whether send token id is outstanding.
+func (s *ShadowStore) HasSend(id uint64) bool {
+	_, ok := s.sends.byID[id]
+	return ok
+}
+
+// AddRecvToken records a provided receive buffer, with AddSendToken's
+// ordering rules. O(1) amortized.
 func (s *ShadowStore) AddRecvToken(tok gmproto.RecvToken) {
-	if _, dup := s.recvTokens[tok.ID]; !dup {
-		if hasID(s.recvOrder, tok.ID) {
-			s.recvOrder = scrubID(s.recvOrder, tok.ID)
-		}
-		s.recvOrder = append(s.recvOrder, tok.ID)
-	}
-	s.recvTokens[tok.ID] = tok
+	s.recvs.add(tok.ID, tok)
 }
 
 // RemoveRecvToken drops the copy when the message lands ("the receiver, at
 // this time, also deletes the corresponding copy of the receive token",
-// §4.1).
+// §4.1). O(1) amortized.
 func (s *ShadowStore) RemoveRecvToken(id uint64) {
-	delete(s.recvTokens, id)
+	s.recvs.remove(id)
 }
 
 // OutstandingSends returns the unacknowledged send tokens in posting order —
@@ -145,50 +193,31 @@ func (s *ShadowStore) RemoveRecvToken(id uint64) {
 // not been acknowledged" (§4.4). Order matters: restored messages must
 // re-enter the window in sequence order.
 func (s *ShadowStore) OutstandingSends() []gmproto.SendToken {
-	return s.AppendOutstandingSends(make([]gmproto.SendToken, 0, len(s.sendTokens)))
+	return s.AppendOutstandingSends(make([]gmproto.SendToken, 0, len(s.sends.byID)))
 }
 
 // AppendOutstandingSends is OutstandingSends into a caller-retained buffer:
 // appending onto dst (usually dst[:0] of a pooled slice) keeps periodic
-// checkpoint encoding allocation-free at steady state.
+// checkpoint encoding allocation-free at steady state. O(queue slots),
+// which is O(outstanding tokens).
 func (s *ShadowStore) AppendOutstandingSends(dst []gmproto.SendToken) []gmproto.SendToken {
-	live := s.sendOrder[:0]
-	for _, id := range s.sendOrder {
-		tok, ok := s.sendTokens[id]
-		if !ok {
-			continue
-		}
-		live = append(live, id)
-		dst = append(dst, tok)
-	}
-	s.sendOrder = live
-	return dst
+	return s.sends.appendLive(dst)
 }
 
 // OutstandingRecvs returns the receive tokens the LANai still owes buffers
 // for, in posting order.
 func (s *ShadowStore) OutstandingRecvs() []gmproto.RecvToken {
-	return s.AppendOutstandingRecvs(make([]gmproto.RecvToken, 0, len(s.recvTokens)))
+	return s.AppendOutstandingRecvs(make([]gmproto.RecvToken, 0, len(s.recvs.byID)))
 }
 
 // AppendOutstandingRecvs is OutstandingRecvs into a caller-retained buffer.
 func (s *ShadowStore) AppendOutstandingRecvs(dst []gmproto.RecvToken) []gmproto.RecvToken {
-	live := s.recvOrder[:0]
-	for _, id := range s.recvOrder {
-		tok, ok := s.recvTokens[id]
-		if !ok {
-			continue
-		}
-		live = append(live, id)
-		dst = append(dst, tok)
-	}
-	s.recvOrder = live
-	return dst
+	return s.recvs.appendLive(dst)
 }
 
 // Counts reports outstanding send and receive token counts.
 func (s *ShadowStore) Counts() (sends, recvs int) {
-	return len(s.sendTokens), len(s.recvTokens)
+	return len(s.sends.byID), len(s.recvs.byID)
 }
 
 // SeqStream is one host-generated sequence stream's cursor: the last
